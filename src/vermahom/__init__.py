@@ -5,21 +5,20 @@ Everything is computed with exact rational arithmetic.  The public surface
 splits into: root systems (:mod:`~vermahom.rootsystem`), Weyl group elements
 (:mod:`~vermahom.weyl`), integral subsystems of a weight
 (:mod:`~vermahom.integral`), ascent sets (:mod:`~vermahom.aset`), the two
-Hom criteria (:mod:`~vermahom.criteria`), brute-force validators
-(:mod:`~vermahom.oracle`) and a CLI (:mod:`~vermahom.cli`).
+Hom criteria (:mod:`~vermahom.criteria`) and a CLI (:mod:`~vermahom.cli`).
+The brute-force validators and sweep checks live in :mod:`vermahom.oracle`
+and are not re-exported here.
 """
 
 from .aset import (
     AscentSet,
     ascent_set,
-    ascent_set_all_words,
     ascent_set_word,
     inversion_sequence,
     replay_certificate,
 )
 from .criteria import (
     HomVerdict,
-    ext_query,
     hom_principal_series,
     hom_twisted_verma,
     normalize_principal_series,
@@ -32,7 +31,6 @@ from .errors import (
 )
 from .integral import (
     IntegralData,
-    all_integral_words,
     canonical_integral_word,
     dominant_representative,
     in_integral_group,
@@ -41,18 +39,6 @@ from .integral import (
     integral_length,
     reduce_parameters,
     stabilizer_elements,
-)
-from .oracle import (
-    CheckReport,
-    LinkageChain,
-    bgg_verma_hom,
-    brute_force_ascent_set,
-    brute_force_certificates,
-    check_concatenation,
-    check_invariances,
-    check_oracle_agreement,
-    check_word_independence,
-    run_selfcheck,
 )
 from .rootsystem import (
     Root,
@@ -66,14 +52,10 @@ from .rootsystem import (
 )
 from .weyl import (
     WeylElem,
-    act,
-    all_reduced_words,
-    bruhat_leq,
     canonical_reduced_word,
     enumerate_group,
     format_word,
     from_word,
-    group_order,
     identity,
     inverse,
     length,
@@ -88,12 +70,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AscentSet",
-    "CheckReport",
     "DomainError",
     "EnumerationBound",
     "HomVerdict",
     "IntegralData",
-    "LinkageChain",
     "PreconditionError",
     "Root",
     "RootSystem",
@@ -101,29 +81,15 @@ __all__ = [
     "ValidationError",
     "Weight",
     "WeylElem",
-    "act",
-    "all_integral_words",
-    "all_reduced_words",
     "ascent_set",
-    "ascent_set_all_words",
     "ascent_set_word",
-    "bgg_verma_hom",
-    "brute_force_ascent_set",
-    "brute_force_certificates",
-    "bruhat_leq",
     "build_root_system",
     "canonical_integral_word",
     "canonical_reduced_word",
-    "check_concatenation",
-    "check_invariances",
-    "check_oracle_agreement",
-    "check_word_independence",
     "dominant_representative",
     "enumerate_group",
-    "ext_query",
     "format_word",
     "from_word",
-    "group_order",
     "hom_principal_series",
     "hom_twisted_verma",
     "identity",
@@ -143,7 +109,6 @@ __all__ = [
     "reduce_parameters",
     "reflection",
     "replay_certificate",
-    "run_selfcheck",
     "simple_reflection",
     "stabilizer_elements",
     "weyl_group_order",

@@ -23,15 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
-from .errors import DomainError, EnumerationBound
-from .integral import (
-    IntegralData,
-    all_integral_words,
-    canonical_integral_word,
-    integral_length,
-)
+from .errors import DomainError
+from .integral import IntegralData, all_integral_words, canonical_integral_word
 from .rootsystem import Root, RootSystem, Weight
 from .weyl import DEFAULT_WORD_LENGTH_BOUND, WeylElem, identity, multiply, reflection
 
@@ -41,14 +37,14 @@ class AscentSet:
     """The result of one ascent-set computation.
 
     ``certificates`` maps each member to one admissible subsequence of word
-    positions realizing it.  Treat instances as read-only; they are shared
-    through a cache.
+    positions realizing it.  Instances are shared through caches, so the
+    mapping is a read-only view.
     """
 
     word: tuple[Root, ...]
     base: Weight
     elements: frozenset[Weight]
-    certificates: dict[Weight, tuple[int, ...]] = field(compare=False)
+    certificates: Mapping[Weight, tuple[int, ...]] = field(compare=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -128,7 +124,7 @@ def _ascent_set_cached(
         word=letters,
         base=mu,
         elements=frozenset(table),
-        certificates=dict(sorted(table.items())),
+        certificates=MappingProxyType(dict(sorted(table.items()))),
     )
 
 
@@ -184,9 +180,5 @@ def ascent_set_all_words(
     max_length: int = DEFAULT_WORD_LENGTH_BOUND,
 ) -> tuple[AscentSet, ...]:
     """One ascent set per reduced word of ``w``; property-suite support."""
-    if integral_length(w, context) > max_length:
-        raise EnumerationBound(
-            f"integral length exceeds word enumeration bound {max_length}"
-        )
     words = sorted(all_integral_words(w, context, max_length))
     return tuple(ascent_set_word(w.rs, word, mu, context) for word in words)

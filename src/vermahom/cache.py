@@ -15,6 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .aset import AscentSet, ascent_set_word
@@ -90,7 +92,7 @@ class AscentSetCache:
             word=tuple(letters),
             base=mu,
             elements=elements,
-            certificates=dict(sorted(certificates.items())),
+            certificates=MappingProxyType(dict(sorted(certificates.items()))),
         )
 
     def put(
@@ -109,14 +111,22 @@ class AscentSetCache:
         if not self._dirty:
             return
         os.makedirs(self.directory, exist_ok=True)
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"version": CACHE_VERSION, "entries": self.entries},
-                fh,
-                sort_keys=True,
-            )
-        os.replace(tmp, self.path)
+        # a temporary file of its own per save, so concurrent writers never
+        # share one; the last rename wins and the file is always whole
+        fd, tmp = tempfile.mkstemp(
+            prefix=_FILENAME + ".", suffix=".tmp", dir=self.directory
+        )
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                json.dump(
+                    {"version": CACHE_VERSION, "entries": self.entries},
+                    fh,
+                    sort_keys=True,
+                )
+            os.replace(tmp, self.path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         self._dirty = False
 
 

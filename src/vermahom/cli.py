@@ -54,7 +54,7 @@ FORMATS = ("human", "json", "tsv")
 
 @dataclass(frozen=True)
 class Query:
-    """A parsed CLI invocation; round-trips through :meth:`canonical_argv`."""
+    """A parsed CLI invocation, with words and weights in canonical text."""
 
     command: str
     root_system: str = ""
@@ -74,44 +74,6 @@ class Query:
     grid_radius: int = 2
     seed: int = 0
     types: tuple[str, ...] = ()
-
-    def canonical_argv(self) -> tuple[str, ...]:
-        argv: list[str] = [self.command]
-        if self.command != "selfcheck":
-            argv.append(self.root_system)
-        if self.command == "aset":
-            argv.extend([self.words[0], self.weights[0]])
-        elif self.command in ("hom-verma", "hom-ps"):
-            argv.extend([self.words[0], self.weights[0],
-                         self.words[1], self.weights[1]])
-        elif self.command == "integral":
-            argv.append(self.lam or "")
-        if self.lam is not None and self.command in ("aset", "hom-ps", "table"):
-            argv.extend(["--lambda", self.lam])
-        if self.command == "table":
-            argv.extend(["--mu-orbit", self.mu_orbit or ""])
-            if self.w_all:
-                argv.append("--w-all")
-            argv.extend(["--criterion", self.criterion])
-        if self.command == "selfcheck":
-            if self.types:
-                argv.extend(["--types", ",".join(self.types)])
-            argv.extend(["--rank-bound", str(self.rank_bound)])
-            argv.extend(["--grid-radius", str(self.grid_radius)])
-            argv.extend(["--seed", str(self.seed)])
-        if self.certificates:
-            argv.append("--certificates")
-        if self.normalize:
-            argv.append("--normalize")
-        if self.command != "selfcheck":
-            argv.extend(["--format", self.output_format])
-        if self.no_cache:
-            argv.append("--no-cache")
-        if self.cache_dir is not None:
-            argv.extend(["--cache-dir", self.cache_dir])
-        if self.verify_cache:
-            argv.append("--verify-cache")
-        return tuple(argv)
 
 
 def _build_parser() -> argparse.ArgumentParser:

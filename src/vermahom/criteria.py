@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 from .aset import AscentSet, ascent_set
-from .errors import DomainError, PreconditionError, ValidationError
+from .errors import DomainError, PreconditionError
 from .integral import (
     IntegralData,
     dominant_representative,
@@ -336,16 +336,3 @@ def normalize_principal_series(
     xi, nu = w.act(lam), w.act(mu)
     dom, v = dominant_representative(rs, xi)
     return dom, inverse(v), v.act(nu)
-
-
-def ext_query(kind: str, *args, **kwargs) -> bool:
-    """Is some extension group (any degree) nonzero for the given query?
-
-    Equivalent to the Hom query: a nonzero Hom is a nonzero degree-zero
-    extension, and a zero Hom forces all degrees to vanish.
-    """
-    if kind == "twisted-verma":
-        return hom_twisted_verma(*args, **kwargs).hom_nonzero
-    if kind == "principal-series":
-        return hom_principal_series(*args, **kwargs).hom_nonzero
-    raise ValidationError(f"unknown query kind {kind!r}")

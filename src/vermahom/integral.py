@@ -12,16 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import DomainError, EnumerationBound
+from .errors import DomainError
 from .rootsystem import Root, RootSystem, Weight
 from .weyl import (
     DEFAULT_GROUP_BOUND,
     DEFAULT_WORD_LENGTH_BOUND,
     WeylElem,
     enumerate_group,
+    group_closure,
     identity,
     inverse,
+    longest_element_over,
     multiply,
+    reduced_word_over,
+    reduced_words_over,
     reflection,
 )
 
@@ -72,14 +76,7 @@ def integral_data(rs: RootSystem, lam: Weight) -> IntegralData:
             if q != p
         )
     ))
-    longest = identity(rs)
-    while True:
-        for beta in simples:
-            if longest.act_on_root(beta).is_positive:
-                longest = multiply(longest, reflection(rs, beta))
-                break
-        else:
-            break
+    longest = longest_element_over(rs, simples)
     gens = tuple(b for b in simples if rs.pairing(b, lam) == 0)
     return IntegralData(rs, lam, pos, simples, longest, gens)
 
@@ -115,52 +112,16 @@ def canonical_integral_word(w: WeylElem, data: IntegralData) -> tuple[Root, ...]
     """
     if not in_integral_group(w, data):
         raise DomainError("element is not in the integral Weyl group of the weight")
-    word: list[Root] = []
-    cur, cur_inv = w, inverse(w)
-    while True:
-        for beta in data.simple_roots:
-            if not cur_inv.act_on_root(beta).is_positive:
-                s = reflection(data.rs, beta)
-                word.append(beta)
-                cur = multiply(s, cur)
-                cur_inv = multiply(cur_inv, s)
-                break
-        else:
-            break
-    if not cur.is_identity:
-        raise DomainError(
-            "element satisfies the lattice condition but is not a product of "
-            "integral reflections"
-        )
-    return tuple(word)
+    simples = data.simple_roots
+    return tuple(simples[i] for i in reduced_word_over(w, simples))
 
 
 def all_integral_words(
     w: WeylElem, data: IntegralData, max_length: int = DEFAULT_WORD_LENGTH_BOUND
 ) -> frozenset[tuple[Root, ...]]:
     """Every reduced word of ``w`` over the integral simple system."""
-    if integral_length(w, data) > max_length:
-        raise EnumerationBound(
-            f"integral length exceeds word enumeration bound {max_length}"
-        )
-    memo: dict[WeylElem, tuple[tuple[Root, ...], ...]] = {}
-
-    def rec(u: WeylElem) -> tuple[tuple[Root, ...], ...]:
-        if u.is_identity:
-            return ((),)
-        cached = memo.get(u)
-        if cached is not None:
-            return cached
-        u_inv = inverse(u)
-        out = []
-        for beta in data.simple_roots:
-            if not u_inv.act_on_root(beta).is_positive:
-                rest = multiply(reflection(data.rs, beta), u)
-                out.extend((beta,) + t for t in rec(rest))
-        memo[u] = tuple(out)
-        return memo[u]
-
-    return frozenset(rec(w))
+    words = reduced_words_over(w, data.simple_roots, max_length)
+    return frozenset(tuple(data.simple_roots[i] for i in word) for word in words)
 
 
 @lru_cache(maxsize=None)
@@ -168,29 +129,7 @@ def integral_group_elements(
     data: IntegralData, bound: int = DEFAULT_GROUP_BOUND
 ) -> tuple[WeylElem, ...]:
     """All elements of the integral Weyl group, by closure over its simples."""
-    gens = [reflection(data.rs, b) for b in data.simple_roots]
-    return _closure(data.rs, gens, bound)
-
-
-def _closure(rs: RootSystem, gens, bound: int) -> tuple[WeylElem, ...]:
-    seen = {identity(rs)}
-    out = [identity(rs)]
-    frontier = [identity(rs)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                ws = multiply(w, s)
-                if ws not in seen:
-                    if len(seen) >= bound:
-                        raise EnumerationBound(
-                            f"subgroup closure exceeds bound {bound}"
-                        )
-                    seen.add(ws)
-                    out.append(ws)
-                    nxt.append(ws)
-        frontier = nxt
-    return tuple(out)
+    return group_closure(data.rs, data.simple_roots, bound)
 
 
 @lru_cache(maxsize=None)
@@ -204,8 +143,7 @@ def stabilizer_elements(
     two paths agree on dominant weights (cross-checked in the test suite).
     """
     if data.rs.is_dominant(data.weight):
-        gens = [reflection(data.rs, b) for b in data.stabilizer_gens]
-        return frozenset(_closure(data.rs, gens, bound))
+        return frozenset(group_closure(data.rs, data.stabilizer_gens, bound))
     return frozenset(
         w for w in enumerate_group(data.rs, bound) if w.act(data.weight) == data.weight
     )

@@ -300,9 +300,9 @@ def check_invariances(
     # reflexivity: every valid self-query has a nonzero endomorphism
     for lam in lams:
         data = integral_data(rs, lam)
+        shifted = [lam + off for off in offsets]
         for w in integral_group_elements(data, bound):
-            for off in offsets:
-                mu = lam + off
+            for mu in shifted:
                 cases += 1
                 if not hom_principal_series(lam, w, mu, w, mu).hom_nonzero:
                     return CheckReport(
@@ -313,7 +313,7 @@ def check_invariances(
     # stabilizer invariance: verdicts ignore right-multiplying either slot
     # by elements fixing lam; the (w1, w2) product is strided when the full
     # sweep would exceed the case budget (A-rank-2 groups stay exhaustive)
-    mus = [lam_off for lam_off in offsets[: 2 * n + 1]]
+    mus = offsets[: 2 * n + 1]
     for lam in lams:
         if not lam.is_integral():
             continue
@@ -324,19 +324,18 @@ def check_invariances(
         group = integral_group_elements(data, bound)
         total = (len(group) * len(mus) * len(stab)) ** 2
         stride = max(1, -(-total // stabilizer_budget))
+        shifted = [lam + mu for mu in mus]
+        times_stab = {w: [(u, multiply(w, u)) for u in stab] for w in group}
         for idx, (w1, w2) in enumerate(itertools.product(group, repeat=2)):
             if idx % stride:
                 continue
-            for mu1, mu2 in itertools.product(mus, repeat=2):
-                base = hom_principal_series(
-                    lam, w1, lam + mu1, w2, lam + mu2
-                ).hom_nonzero
-                for u, v in itertools.product(stab, repeat=2):
+            for nu1, nu2 in itertools.product(shifted, repeat=2):
+                base = hom_principal_series(lam, w1, nu1, w2, nu2).hom_nonzero
+                for (u, w1u), (v, w2v) in itertools.product(
+                    times_stab[w1], times_stab[w2]
+                ):
                     cases += 1
-                    got = hom_principal_series(
-                        lam, multiply(w1, u), lam + mu1,
-                        multiply(w2, v), lam + mu2,
-                    ).hom_nonzero
+                    got = hom_principal_series(lam, w1u, nu1, w2v, nu2).hom_nonzero
                     if got != base:
                         return CheckReport(
                             "invariances", str(rs), cases, False,

@@ -179,6 +179,28 @@ def weyl_group_order(spec: RootSystemSpec) -> int:
     return total
 
 
+def invert_matrix(
+    matrix: Sequence[Sequence[int]],
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse of an invertible square integer matrix (Gauss-Jordan)."""
+    n = len(matrix)
+    aug = [
+        [Fraction(matrix[i][j]) for j in range(n)]
+        + [Fraction(1 if i == j else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
 def _cartan_block(letter: str, n: int) -> list[list[int]]:
     m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -257,7 +279,7 @@ class RootSystem:
                    key=lambda r: (r.height, r.coords))
         )
         self.rho = Weight(tuple(Fraction(1) for _ in range(self.rank)))
-        self.cartan_inverse = self._invert_cartan()
+        self.cartan_inverse = invert_matrix(self.cartan)
 
         # Per-root caches: fundamental-weight coordinates and the linear
         # functional computing the coroot pairing against a weight.
@@ -297,24 +319,6 @@ class RootSystem:
             for k in range(start, stop):
                 d[k] = d[k] / top
         return tuple(d)
-
-    def _invert_cartan(self) -> tuple[tuple[Fraction, ...], ...]:
-        n = self.rank
-        aug = [
-            [Fraction(self.cartan[i][j]) for j in range(n)]
-            + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return tuple(tuple(row[n:]) for row in aug)
 
     def _close_roots(self) -> set[tuple[int, ...]]:
         seen = {r.coords for r in (
@@ -357,11 +361,6 @@ class RootSystem:
         """The fundamental-weight coordinates of a root."""
         wc = self._require(root)
         return Weight(tuple(Fraction(x) for x in wc))
-
-    def root_from_weight_coords(self, coords: Sequence[Fraction]) -> Root | None:
-        if any(c.denominator != 1 for c in coords):
-            return None
-        return self._by_weight.get(tuple(int(c) for c in coords))
 
     def _require(self, root: Root) -> tuple[int, ...]:
         wc = self._weight_coords.get(root)

@@ -1,10 +1,16 @@
-"""Weyl group elements with exact action, words, length and Bruhat order.
+"""Weyl group elements with exact action, words and length.
 
 An element is represented by its integer matrix acting on fundamental-weight
 coordinates; equality and hashing go through the matrix, so words are
-non-canonical witnesses.  The canonical reduced word policy is
-smallest-descent-first: repeatedly peel the smallest simple index ``i`` with
-``l(s_i u) < l(u)`` from the left.
+non-canonical witnesses.
+
+The Coxeter-group algorithms (reduced word, all reduced words, longest
+element, group closure) take an ordered tuple of simple roots, so the same
+code serves the full Weyl group (``rs.simple_roots``, Bourbaki order) and the
+integral Weyl group of a weight (``IntegralData.simple_roots``).  Words over
+such a tuple are 0-based positions into it.  The canonical reduced word
+policy is first-descent-first: repeatedly peel, from the left, the first
+simple root in the given order that is a left descent.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, EnumerationBound, ValidationError
-from .rootsystem import Root, RootSystem, Weight, weyl_group_order
+from .rootsystem import Root, RootSystem, Weight, invert_matrix, weyl_group_order
 
 DEFAULT_GROUP_BOUND = 3_628_800  # 10!
 DEFAULT_WORD_LENGTH_BOUND = 16
@@ -47,12 +53,6 @@ class WeylElem:
         if root is None:
             raise DomainError("matrix does not permute the roots")
         return root
-
-    def inverse(self) -> "WeylElem":
-        return inverse(self)
-
-    def length(self) -> int:
-        return length(self)
 
     @property
     def is_identity(self) -> bool:
@@ -111,29 +111,8 @@ def multiply(u: WeylElem, v: WeylElem) -> WeylElem:
 
 @lru_cache(maxsize=None)
 def inverse(u: WeylElem) -> WeylElem:
-    n = u.rs.rank
-    aug = [
-        [Fraction(u.matrix[i][j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    matrix = tuple(
-        tuple(int(aug[i][n + j]) for j in range(n)) for i in range(n)
-    )
+    matrix = tuple(tuple(int(x) for x in row) for row in invert_matrix(u.matrix))
     return WeylElem(u.rs, matrix)
-
-
-def act(u: WeylElem, mu: Weight) -> Weight:
-    return u.act(mu)
 
 
 @lru_cache(maxsize=None)
@@ -142,31 +121,100 @@ def length(u: WeylElem) -> int:
     return sum(1 for beta in u.rs.positive_roots if not u.act_on_root(beta).is_positive)
 
 
-def _left_descents(u: WeylElem, u_inv: WeylElem) -> list[int]:
-    return [
-        i + 1
-        for i, alpha in enumerate(u.rs.simple_roots)
-        if not u_inv.act_on_root(alpha).is_positive
-    ]
+def reduced_word_over(u: WeylElem, simples: tuple[Root, ...]) -> tuple[int, ...]:
+    """Reduced word of ``u`` over ``simples``: peel the first left descent
+    in the order of ``simples`` repeatedly."""
+    word = []
+    cur, cur_inv = u, inverse(u)
+    while True:
+        for i, beta in enumerate(simples):
+            if not cur_inv.act_on_root(beta).is_positive:
+                s = reflection(u.rs, beta)
+                word.append(i)
+                cur = multiply(s, cur)
+                cur_inv = multiply(cur_inv, s)
+                break
+        else:
+            break
+    if not cur.is_identity:
+        raise DomainError("element is not a product of the simple reflections")
+    return tuple(word)
+
+
+def reduced_words_over(
+    u: WeylElem, simples: tuple[Root, ...], max_length: int
+) -> frozenset[tuple[int, ...]]:
+    """Every reduced word of ``u`` over ``simples``, by recursion over left
+    descents."""
+    n = len(reduced_word_over(u, simples))
+    if n > max_length:
+        raise EnumerationBound(
+            f"element has length {n} > word enumeration bound {max_length}"
+        )
+    memo: dict[WeylElem, tuple[tuple[int, ...], ...]] = {}
+
+    def rec(w: WeylElem) -> tuple[tuple[int, ...], ...]:
+        if w.is_identity:
+            return ((),)
+        cached = memo.get(w)
+        if cached is not None:
+            return cached
+        out = []
+        w_inv = inverse(w)
+        for i, beta in enumerate(simples):
+            if not w_inv.act_on_root(beta).is_positive:
+                rest = multiply(reflection(w.rs, beta), w)
+                out.extend((i,) + t for t in rec(rest))
+        memo[w] = tuple(out)
+        return memo[w]
+
+    return frozenset(rec(u))
+
+
+def longest_element_over(rs: RootSystem, simples: tuple[Root, ...]) -> WeylElem:
+    """The longest element generated by ``simples``, built greedily by right
+    ascents."""
+    u = identity(rs)
+    while True:
+        for beta in simples:
+            if u.act_on_root(beta).is_positive:
+                u = multiply(u, reflection(rs, beta))
+                break
+        else:
+            return u
+
+
+def group_closure(
+    rs: RootSystem, simples: tuple[Root, ...], bound: int
+) -> tuple[WeylElem, ...]:
+    """Every element generated by the reflections in ``simples``,
+    breadth-first from the identity by right multiplication; duplicate-free."""
+    gens = [reflection(rs, beta) for beta in simples]
+    seen = {identity(rs)}
+    out = [identity(rs)]
+    frontier = [identity(rs)]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for s in gens:
+                ws = multiply(w, s)
+                if ws not in seen:
+                    if len(seen) >= bound:
+                        raise EnumerationBound(
+                            f"group closure exceeds bound {bound}"
+                        )
+                    seen.add(ws)
+                    out.append(ws)
+                    nxt.append(ws)
+        frontier = nxt
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def canonical_reduced_word(u: WeylElem) -> tuple[int, ...]:
-    """Deterministic reduced word: peel the smallest left descent repeatedly."""
-    word = []
-    cur, cur_inv = u, inverse(u)
-    while True:
-        descents = _left_descents(cur, cur_inv)
-        if not descents:
-            break
-        i = descents[0]
-        s = simple_reflection(cur.rs, i)
-        word.append(i)
-        cur = multiply(s, cur)
-        cur_inv = multiply(cur_inv, s)
-    if not cur.is_identity:
-        raise DomainError("element is not a product of simple reflections")
-    return tuple(word)
+    """Deterministic reduced word (1-based indices): peel the smallest left
+    descent repeatedly."""
+    return tuple(i + 1 for i in reduced_word_over(u, u.rs.simple_roots))
 
 
 def from_word(rs: RootSystem, indices) -> WeylElem:
@@ -180,59 +228,15 @@ def from_word(rs: RootSystem, indices) -> WeylElem:
 def all_reduced_words(
     u: WeylElem, max_length: int = DEFAULT_WORD_LENGTH_BOUND
 ) -> frozenset[tuple[int, ...]]:
-    """Every reduced word of ``u``, by recursion over left descents."""
-    if length(u) > max_length:
-        raise EnumerationBound(
-            f"element has length {length(u)} > word enumeration bound {max_length}"
-        )
-    memo: dict[WeylElem, tuple[tuple[int, ...], ...]] = {}
-
-    def rec(w: WeylElem) -> tuple[tuple[int, ...], ...]:
-        if w.is_identity:
-            return ((),)
-        cached = memo.get(w)
-        if cached is not None:
-            return cached
-        out = []
-        w_inv = inverse(w)
-        for i in _left_descents(w, w_inv):
-            rest = multiply(simple_reflection(w.rs, i), w)
-            out.extend((i,) + t for t in rec(rest))
-        memo[w] = tuple(out)
-        return memo[w]
-
-    return frozenset(rec(u))
+    """Every reduced word of ``u`` (1-based indices)."""
+    words = reduced_words_over(u, u.rs.simple_roots, max_length)
+    return frozenset(tuple(i + 1 for i in word) for word in words)
 
 
 @lru_cache(maxsize=None)
 def longest_element(rs: RootSystem) -> WeylElem:
-    """The longest element, built greedily by right ascents."""
-    u = identity(rs)
-    while True:
-        for i, alpha in enumerate(rs.simple_roots):
-            if u.act_on_root(alpha).is_positive:
-                u = multiply(u, simple_reflection(rs, i + 1))
-                break
-        else:
-            return u
-
-
-@lru_cache(maxsize=None)
-def bruhat_leq(u: WeylElem, v: WeylElem) -> bool:
-    """Bruhat order via the subword property (descent recursion)."""
-    if u.rs is not v.rs:
-        raise DomainError("cannot compare elements of different root systems")
-    if u.is_identity:
-        return True
-    if length(u) > length(v):
-        return False
-    i = _left_descents(v, inverse(v))[0]
-    s = simple_reflection(v.rs, i)
-    sv = multiply(s, v)
-    su = multiply(s, u)
-    if length(su) < length(u):
-        return bruhat_leq(su, sv)
-    return bruhat_leq(u, sv)
+    """The longest element of the Weyl group."""
+    return longest_element_over(rs, rs.simple_roots)
 
 
 @lru_cache(maxsize=None)
@@ -243,25 +247,7 @@ def enumerate_group(
     order = weyl_group_order(rs.spec)
     if order > bound:
         raise EnumerationBound(f"group of order {order} exceeds bound {bound}")
-    gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
-    seen = {identity(rs)}
-    out = [identity(rs)]
-    frontier = [identity(rs)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                ws = multiply(w, s)
-                if ws not in seen:
-                    seen.add(ws)
-                    out.append(ws)
-                    nxt.append(ws)
-        frontier = nxt
-    return tuple(out)
-
-
-def group_order(rs: RootSystem) -> int:
-    return weyl_group_order(rs.spec)
+    return group_closure(rs, rs.simple_roots, bound)
 
 
 def parse_word(text: str, rank: int) -> tuple[int, ...]:

@@ -167,10 +167,11 @@ def test_criterion_8_integral_system_structure():
             roots = data.root_set()
             # negation and reflection closure
             assert roots == {-r for r in roots}
+            root_weights = {rs.root_as_weight(r) for r in roots}
             for a in roots:
                 for b in roots:
                     image = rs.reflect(a, rs.root_as_weight(b))
-                    assert rs.root_from_weight_coords(image.coords) in roots
+                    assert image in root_weights
             # indecomposability characterizes the simple system
             pos = set(data.positive_roots)
             for p in pos:

@@ -18,6 +18,7 @@ from vermahom.rootsystem import Weight, build_root_system
 from vermahom.weyl import (
     enumerate_group,
     identity,
+    inverse,
     longest_element,
     multiply,
     reflection,
@@ -107,6 +108,17 @@ def test_certificates_are_lex_minimal_and_replay(name, data):
         assert replay_certificate(rs, letters, mu, cert) == element
 
 
+def test_certificates_are_read_only():
+    rs = build_root_system("A2")
+    letters = _letters(rs, (1, 2, 1))
+    mu = rs.weight((-1, -1))
+    result = ascent_set_word(rs, letters, mu)
+    before = dict(result.certificates)
+    with pytest.raises(TypeError):
+        result.certificates[rs.rho] = ()
+    assert ascent_set_word(rs, letters, mu).certificates == before
+
+
 def test_replay_rejects_invalid_chain():
     rs = build_root_system("A2")
     letters = _letters(rs, (1, 2, 1))
@@ -193,7 +205,7 @@ def test_concatenation_identity(name, data):
     w1 = identity(rs)
     for alpha in block1:
         w1 = multiply(w1, reflection(rs, alpha))
-    w1_inv = w1.inverse()
+    w1_inv = inverse(w1)
     union = set()
     for x in ascent_set_word(rs, block1, mu).elements:
         union.update(

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import pytest
@@ -7,8 +8,15 @@ from vermahom.aset import ascent_set_word, replay_certificate
 from vermahom.cache import CACHE_DIR_ENV, AscentSetCache
 from vermahom.cli import main, parse_query
 from vermahom.integral import integral_data
-from vermahom.rootsystem import Root, build_root_system, parse_weight
-from vermahom.weyl import from_word, inverse, longest_element, multiply, parse_word
+from vermahom.rootsystem import Root, RootSystemSpec, build_root_system, parse_weight
+from vermahom.weyl import (
+    format_word,
+    from_word,
+    inverse,
+    longest_element,
+    multiply,
+    parse_word,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -31,8 +39,17 @@ def run_cli(capsys, argv):
     ["selfcheck", "--types", "A1", "--rank-bound", "2", "--grid-radius", "1"],
 ])
 def test_query_roundtrip(argv):
+    # a parsed query holds canonical text, which parses back to itself
     query = parse_query(argv)
-    assert parse_query(list(query.canonical_argv())) == query
+    if query.root_system:
+        rank = build_root_system(query.root_system).rank
+        for word in query.words:
+            assert format_word(parse_word(word, rank)) == word
+        for text in (*query.weights, query.lam, query.mu_orbit):
+            if text is not None:
+                assert str(parse_weight(text, rank)) == text
+    for name in query.types:
+        assert str(RootSystemSpec.parse(name)) == name
 
 
 def test_hom_verma_reflexive(capsys):
@@ -321,3 +338,55 @@ def test_verify_cache_detects_tampering(capsys, tmp_path):
         ["aset", "A1", "1", "(-3)", "--cache-dir", str(tmp_path), "--verify-cache"],
     )
     assert code == 1 and "verification failed" in err
+
+
+def test_cached_certificates_are_read_only(tmp_path):
+    rs = build_root_system("A2")
+    letters = tuple(rs.simple_roots)
+    mu = rs.weight((-1, -1))
+    cache = AscentSetCache(str(tmp_path))
+    cache.put(rs, letters, mu, ascent_set_word(rs, letters, mu))
+    got = cache.get(rs, letters, mu)
+    before = dict(got.certificates)
+    with pytest.raises(TypeError):
+        got.certificates[rs.rho] = ()
+    assert cache.get(rs, letters, mu).certificates == before
+
+
+def test_concurrent_cache_saves_do_not_collide(tmp_path, monkeypatch):
+    # a second cache on the same directory saves between the first cache's
+    # write and its rename: both saves succeed and leave one whole file
+    rs = build_root_system("A2")
+    letters = tuple(rs.simple_roots)
+    first = AscentSetCache(str(tmp_path))
+    second = AscentSetCache(str(tmp_path))
+    first.put(rs, letters, rs.rho, ascent_set_word(rs, letters, rs.rho))
+    second.put(rs, letters[:1], rs.rho, ascent_set_word(rs, letters[:1], rs.rho))
+    real_replace = os.replace
+
+    def replace_after_second_save(src, dst):
+        monkeypatch.setattr(os, "replace", real_replace)
+        second.save()
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_after_second_save)
+    first.save()
+    assert os.listdir(tmp_path) == ["aset_cache.json"]
+    reloaded = AscentSetCache(str(tmp_path))
+    assert reloaded.load_warning is None
+    assert reloaded.entries == first.entries  # the last rename wins
+
+
+def test_failed_cache_save_leaves_no_temporary_file(tmp_path, monkeypatch):
+    rs = build_root_system("A1")
+    letters = tuple(rs.simple_roots)
+    cache = AscentSetCache(str(tmp_path))
+    cache.put(rs, letters, rs.rho, ascent_set_word(rs, letters, rs.rho))
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        cache.save()
+    assert os.listdir(tmp_path) == []
