@@ -7,22 +7,24 @@ reflecting through those roots in order, where each reflection is only
 admissible if the coroot pairing at that point is a negative integer.  The
 empty subsequence is always admissible, so ``mu`` itself is always a member.
 
-The computation peels the word from the left:
+Members are computed as a forward frontier over the inversion sequence
+``beta_1, ..., beta_n``: starting from ``{mu}``, position ``i`` adds
+``s_{beta_i} x`` for every member ``x`` found so far whose pairing with
+``beta_i`` is a negative integer.  That is one pairing per (position,
+member); a bounded whole-result cache sits on top.
 
-    A(first :: rest)(mu) = s . A(rest)(s mu)  union
-                           s . A(rest)(mu)    when <first^, mu> in Z_{<0},
-
-where ``s`` is the reflection in the first letter.  Results are memoized on
-(suffix position, weight) within one top-level call; a bounded whole-result
-cache sits on top.  Each member carries a certificate: the lexicographically
-smallest admissible subsequence (1-based positions into the word), which
-replays independently against the definition.
+Each member also has a certificate: the lexicographically smallest
+admissible subsequence (1-based positions into the word), which replays
+independently against the definition.  Certificates follow from the word and
+``mu`` alone, so they are built only when first read, by one depth-first walk
+of the admissible subsequences in lexicographic order (see
+:func:`_lex_minimal_certificates`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -36,18 +38,31 @@ from .weyl import DEFAULT_WORD_LENGTH_BOUND, WeylElem, identity, multiply, refle
 class AscentSet:
     """The result of one ascent-set computation.
 
-    ``certificates`` maps each member to one admissible subsequence of word
-    positions realizing it.  Instances are shared through caches, so the
-    mapping is a read-only view.
+    ``certificates`` maps each member, in sorted order, to its lex-minimal
+    admissible subsequence of word positions.  It follows from ``word`` and
+    ``base``, so it is built on first read and then kept.  Instances are
+    shared through caches, so the mapping is a read-only view.
     """
 
+    rs: RootSystem = field(repr=False)
     word: tuple[Root, ...]
     base: Weight
     elements: frozenset[Weight]
-    certificates: Mapping[Weight, tuple[int, ...]] = field(compare=False)
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def certificates(self) -> Mapping[Weight, tuple[int, ...]]:
+        betas = inversion_sequence(self.rs, self.word)
+        table = _lex_minimal_certificates(self.rs, betas, self.base)
+        if table.keys() != self.elements:
+            raise RuntimeError(
+                f"ascent set at {self.base} lists {len(self.elements)} members "
+                f"but its word reaches {len(table)} weights; the stored "
+                "members are corrupt"
+            )
+        return MappingProxyType(dict(sorted(table.items())))
 
 
 def inversion_sequence(rs: RootSystem, letters: Sequence[Root]) -> tuple[Root, ...]:
@@ -87,45 +102,64 @@ def replay_certificate(
     return cur
 
 
-def _suffix_sets(
-    rs: RootSystem,
-    letters: tuple[Root, ...],
-    k: int,
-    nu: Weight,
-    memo: dict,
+def _members(
+    rs: RootSystem, betas: Sequence[Root], mu: Weight
+) -> frozenset[Weight]:
+    """The forward frontier: after position ``i``, every weight some
+    admissible subsequence of ``betas[:i]`` reaches."""
+    members = {mu}
+    for beta in betas:
+        for x in tuple(members):
+            p = rs.pairing(beta, x)
+            if p.denominator == 1 and p < 0:
+                members.add(rs.reflect(beta, x))
+    return frozenset(members)
+
+
+def _lex_minimal_certificates(
+    rs: RootSystem, betas: Sequence[Root], mu: Weight
 ) -> dict[Weight, tuple[int, ...]]:
-    if k == len(letters):
-        return {nu: ()}
-    key = (k, nu)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    alpha = letters[k]
-    out: dict[Weight, tuple[int, ...]] = {}
-    for x, cert in _suffix_sets(rs, letters, k + 1, rs.reflect(alpha, nu), memo).items():
-        out[rs.reflect(alpha, x)] = cert
-    p = rs.pairing(alpha, nu)
-    if p.denominator == 1 and p < 0:
-        for x, cert in _suffix_sets(rs, letters, k + 1, nu, memo).items():
-            y = rs.reflect(alpha, x)
-            c = (k + 1,) + cert
-            if y not in out or c < out[y]:
-                out[y] = c
-    memo[key] = out
-    return out
+    """Every reachable weight with its lex-minimal admissible subsequence.
+
+    A depth-first walk visits the admissible subsequences in lexicographic
+    order (smaller next position first), so the first visit of a weight
+    carries its certificate.  A node ``(weight, last position)`` is pruned
+    only when an earlier visit of the same weight has *finished* with a last
+    position no larger: that visit already reached everything this one
+    could.  An unfinished visit (an ancestor) does not count, since with
+    arbitrary root letters a path can return to a weight and the ancestor
+    has not yet reached what lies beyond it.
+    """
+    n = len(betas)
+    certs = {mu: ()}
+    finished: dict[Weight, int] = {}  # weight -> least last position
+    path: list[int] = []  # the current subsequence, one position per child frame
+    stack = [(mu, 0, iter(range(n)))]
+    while stack:
+        x, last, todo = stack[-1]
+        for i in todo:
+            p = rs.pairing(betas[i], x)
+            if p.denominator == 1 and p < 0:
+                y = rs.reflect(betas[i], x)
+                if finished.get(y, n + 1) > i + 1:
+                    path.append(i + 1)
+                    certs.setdefault(y, tuple(path))
+                    stack.append((y, i + 1, iter(range(i + 1, n))))
+                    break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+            finished[x] = min(finished.get(x, n + 1), last)
+    return certs
 
 
 @lru_cache(maxsize=16384)
 def _ascent_set_cached(
     rs: RootSystem, letters: tuple[Root, ...], mu: Weight
 ) -> AscentSet:
-    table = _suffix_sets(rs, letters, 0, mu, {})
-    return AscentSet(
-        word=letters,
-        base=mu,
-        elements=frozenset(table),
-        certificates=MappingProxyType(dict(sorted(table.items()))),
-    )
+    betas = inversion_sequence(rs, letters)
+    return AscentSet(rs, letters, mu, _members(rs, betas, mu))
 
 
 def ascent_set_word(

@@ -3,9 +3,12 @@
 One JSON file per cache directory, carrying a format version.  Keys are
 SHA-256 digests of the canonical query serialization (Cartan type, word
 letters, base weight), so entries are self-describing and collisions across
-root systems are impossible.  A file with the wrong version or unreadable
-content is ignored with a warning and simply rewritten on save; corrupt
-individual entries count as misses.  Cache use never changes results: the
+root systems are impossible.  An entry holds the members only: certificates
+follow from the word and the base weight, and are rebuilt when first read.
+A file with the wrong version or unreadable content is ignored with a
+warning and simply rewritten on save; entries that do not parse count as
+misses, and members that the word cannot reach make the first certificate
+read raise :class:`RuntimeError`.  Cache use never changes results: the
 wrapper recomputes on miss with the ordinary code path, and an optional
 verify mode recomputes on hit as well and compares.
 """
@@ -16,13 +19,12 @@ import hashlib
 import json
 import os
 import tempfile
-from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .aset import AscentSet, ascent_set_word
 from .rootsystem import Root, RootSystem, Weight, parse_weight
 
-CACHE_VERSION = "vermahom-aset-cache-1"
+CACHE_VERSION = "vermahom-aset-cache-2"
 CACHE_DIR_ENV = "VERMAHOM_CACHE_DIR"
 _FILENAME = "aset_cache.json"
 
@@ -77,33 +79,18 @@ class AscentSetCache:
         if raw is None:
             return None
         try:
-            certificates = {
-                parse_weight(text, rs.rank): tuple(int(p) for p in positions)
-                for text, positions in raw["certificates"].items()
-            }
             elements = frozenset(
                 parse_weight(text, rs.rank) for text in raw["elements"]
             )
-            if elements != frozenset(certificates):
-                return None
         except (KeyError, TypeError, ValueError):
             return None
-        return AscentSet(
-            word=tuple(letters),
-            base=mu,
-            elements=elements,
-            certificates=MappingProxyType(dict(sorted(certificates.items()))),
-        )
+        return AscentSet(rs, tuple(letters), mu, elements)
 
     def put(
         self, rs: RootSystem, letters: Sequence[Root], mu: Weight, result: AscentSet
     ) -> None:
         self.entries[self.key(rs, letters, mu)] = {
             "elements": sorted(str(w) for w in result.elements),
-            "certificates": {
-                str(w): list(cert)
-                for w, cert in sorted(result.certificates.items())
-            },
         }
         self._dirty = True
 
@@ -143,8 +130,9 @@ def cached_aset_fn(cache: AscentSetCache, verify: bool = False):
             cache.hits += 1
             if verify:
                 fresh = ascent_set_word(rs, letters, mu, context)
-                if (fresh.elements != got.elements
-                        or fresh.certificates != got.certificates):
+                # equal members give equal certificates: both follow
+                # from the word and the base weight
+                if fresh.elements != got.elements:
                     raise RuntimeError(
                         "cache verification failed for "
                         f"{rs.spec} word={[str(a) for a in letters]} mu={mu}"

@@ -81,8 +81,10 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElem:
     return reflection(rs, rs.simple_roots[i - 1])
 
 
+@lru_cache(maxsize=None)
 def reflection(rs: RootSystem, beta: Root) -> WeylElem:
-    """The reflection in an arbitrary root ``beta``."""
+    """The reflection in an arbitrary root ``beta``; one per root, so the
+    memo is bounded by the number of roots."""
     wc = rs._require(beta)
     vec = rs._coroot[beta]
     rows = []

@@ -95,7 +95,7 @@ def test_recursion_matches_brute_force(name, data):
     assert result.elements == brute_force_ascent_set(rs, letters, mu)
 
 
-@pytest.mark.parametrize("name", ["A2", "B2"])
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 @given(data=st.data())
 def test_certificates_are_lex_minimal_and_replay(name, data):
     rs = build_root_system(name)
@@ -106,6 +106,34 @@ def test_certificates_are_lex_minimal_and_replay(name, data):
     assert result.certificates == brute_force_certificates(rs, letters, mu)
     for element, cert in result.certificates.items():
         assert replay_certificate(rs, letters, mu, cert) == element
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+@given(data=st.data())
+def test_certificates_over_arbitrary_root_letters(name, data):
+    # letters from every root, negative ones included: inversion sequences
+    # then hold negative roots, and an admissible path can come back to a
+    # weight it passed through
+    rs = build_root_system(name)
+    letters = tuple(data.draw(st.lists(st.sampled_from(sorted(rs.roots)),
+                                       max_size=7)))
+    mu = data.draw(weights_for(rs.rank))
+    result = ascent_set_word(rs, letters, mu)
+    assert result.elements == brute_force_ascent_set(rs, letters, mu)
+    assert result.certificates == brute_force_certificates(rs, letters, mu)
+
+
+def test_certificates_when_a_path_returns_to_a_weight():
+    # positions (1,) and (1, 2, 3) both reach (-2,3), so (2,1) has the
+    # certificate (1, 2, 3, 4), smaller than (1, 4).  A walk that pruned the
+    # revisit of (-2,3) against its still-open ancestor would report (1, 4)
+    rs = build_root_system("A2")
+    letters = (rs.root((1, 1)), rs.root((1, 0)), rs.root((1, 0)),
+               rs.root((0, -1)))
+    mu = rs.weight((-3, 2))
+    result = ascent_set_word(rs, letters, mu)
+    assert result.certificates[rs.weight((2, 1))] == (1, 2, 3, 4)
+    assert result.certificates == brute_force_certificates(rs, letters, mu)
 
 
 def test_certificates_are_read_only():

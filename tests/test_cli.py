@@ -311,6 +311,57 @@ def test_version_mismatch_ignored(capsys, tmp_path):
     assert code == 0 and "unknown version" in err
 
 
+def test_version_one_cache_ignored_and_rewritten(capsys, tmp_path):
+    # version-1 entries carried certificates; a version-2 run must neither
+    # trust nor keep them, even for a key it asks for
+    rs = build_root_system("A2")
+    letters = tuple(rs.simple_roots[i - 1] for i in (1, 2, 1))
+    mu = rs.weight((-1, -1))
+    path = tmp_path / "aset_cache.json"
+    stale = {"elements": ["(-1,-1)"], "certificates": {"(-1,-1)": []}}
+    path.write_text(json.dumps({
+        "version": "vermahom-aset-cache-1",
+        "entries": {AscentSetCache.key(rs, letters, mu): stale},
+    }))
+    argv = ["aset", "A2", "121", "(-1,-1)", "--certificates", "--format", "json"]
+    _, fresh, _ = run_cli(capsys, argv + ["--no-cache"])
+    code, out, err = run_cli(capsys, argv + ["--cache-dir", str(tmp_path)])
+    assert code == 0 and out == fresh
+    assert "unknown version" in err and "0 hits, 1 misses" in err
+    raw = json.loads(path.read_text())
+    assert raw["version"] == "vermahom-aset-cache-2"
+    entry = raw["entries"][AscentSetCache.key(rs, letters, mu)]
+    assert entry == {"elements": sorted(json.loads(fresh)["elements"])}
+    code, out, err = run_cli(capsys, argv + ["--cache-dir", str(tmp_path)])
+    assert code == 0 and out == fresh
+    assert "warning" not in err and "1 hits, 0 misses" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["aset", "A1", "1", "(-3)", "--certificates"],
+    ["hom-verma", "A1", "e", "(-3)", "e", "(3)", "--certificates"],
+])
+def test_unreachable_cached_member_fails_on_certificate_read(
+    capsys, tmp_path, argv
+):
+    # both queries read the certificates of the word s1 at (-3); the cached
+    # entry claims a member that word cannot reach
+    rs = build_root_system("A1")
+    letters = (rs.simple_roots[0],)
+    mu = rs.weight((-3,))
+    cache = AscentSetCache(str(tmp_path))
+    cache.put(rs, letters, mu, ascent_set_word(rs, letters, mu))
+    cache.save()
+    path = tmp_path / "aset_cache.json"
+    raw = json.loads(path.read_text())
+    raw["entries"][AscentSetCache.key(rs, letters, mu)]["elements"].append("(5)")
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, argv + ["--cache-dir", str(tmp_path)])
+    assert code == 1 and out == ""
+    assert "error: " in err and "corrupt" in err
+    assert "Traceback" not in err
+
+
 def test_verify_cache_mode(capsys, tmp_path):
     argv = ["hom-verma", "B2", "e", "(1,1)", "e", "(1,1)",
             "--cache-dir", str(tmp_path)]

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -142,6 +143,19 @@ def test_twisted_agrees_with_linkage_oracle_spot():
                 hom_twisted_verma(e, mu1, e, mu2).hom_nonzero
                 == bgg_verma_hom(rs, mu1, mu2)[0]
             )
+
+
+def test_f4_antidominant_into_dominant_within_budget():
+    # a single high-rank query: the ascent set of w0 at -rho is the whole
+    # regular orbit, 1,152 weights
+    rs = build_root_system("F4")
+    e = identity(rs)
+    started = time.perf_counter()
+    verdict = hom_twisted_verma(e, -rs.rho, e, rs.rho)
+    elapsed = time.perf_counter() - started
+    assert verdict.hom_nonzero and len(verdict.right_set) == 1152
+    assert bgg_verma_hom(rs, -rs.rho, rs.rho)[0]
+    assert elapsed < 10.0, f"F4 query took {elapsed:.2f}s >= 10s"
 
 
 # -- principal series --------------------------------------------------------
