@@ -42,6 +42,8 @@ class AscentSet:
     admissible subsequence of word positions.  It follows from ``word`` and
     ``base``, so it is built on first read and then kept.  Instances are
     shared through caches, so the mapping is a read-only view.
+    So is ``inversion``, the word's inversion sequence, unless the members
+    were computed here: then it is the sequence they came from.
     """
 
     rs: RootSystem = field(repr=False)
@@ -53,9 +55,12 @@ class AscentSet:
         return len(self.elements)
 
     @cached_property
+    def inversion(self) -> tuple[Root, ...]:
+        return inversion_sequence(self.rs, self.word)
+
+    @cached_property
     def certificates(self) -> Mapping[Weight, tuple[int, ...]]:
-        betas = inversion_sequence(self.rs, self.word)
-        table = _lex_minimal_certificates(self.rs, betas, self.base)
+        table = _lex_minimal_certificates(self.rs, self.inversion, self.base)
         if table.keys() != self.elements:
             raise RuntimeError(
                 f"ascent set at {self.base} lists {len(self.elements)} members "
@@ -159,7 +164,9 @@ def _ascent_set_cached(
     rs: RootSystem, letters: tuple[Root, ...], mu: Weight
 ) -> AscentSet:
     betas = inversion_sequence(rs, letters)
-    return AscentSet(rs, letters, mu, _members(rs, betas, mu))
+    result = AscentSet(rs, letters, mu, _members(rs, betas, mu))
+    result.__dict__["inversion"] = betas  # fills the cached property
+    return result
 
 
 def ascent_set_word(
@@ -200,7 +207,8 @@ def ascent_set(
 
     The result does not depend on the reduced word chosen (a property the
     test suite sweeps exhaustively at small rank).  ``word_fn`` may replace
-    the set computation, e.g. by a caching wrapper.
+    :func:`ascent_set_word`, e.g. by
+    :meth:`~vermahom.cache.AscentSetCache.ascent_set_word`.
     """
     word = canonical_integral_word(w, context)
     fn = word_fn or ascent_set_word

@@ -8,9 +8,10 @@ follow from the word and the base weight, and are rebuilt when first read.
 A file with the wrong version or unreadable content is ignored with a
 warning and simply rewritten on save; entries that do not parse count as
 misses, and members that the word cannot reach make the first certificate
-read raise :class:`RuntimeError`.  Cache use never changes results: the
-wrapper recomputes on miss with the ordinary code path, and an optional
-verify mode recomputes on hit as well and compares.
+read raise :class:`RuntimeError`.  Cache use never changes results:
+:meth:`AscentSetCache.ascent_set_word` recomputes on a miss with the ordinary
+code path, and a cache opened with ``verify`` recomputes every hit as well
+and compares.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import tempfile
 from typing import Optional, Sequence
 
 from .aset import AscentSet, ascent_set_word
+from .integral import IntegralData
 from .rootsystem import Root, RootSystem, Weight, parse_weight
 
 CACHE_VERSION = "vermahom-aset-cache-2"
@@ -32,8 +34,9 @@ _FILENAME = "aset_cache.json"
 class AscentSetCache:
     """Load/store ascent sets under a directory; see the module docstring."""
 
-    def __init__(self, directory: str):
+    def __init__(self, directory: str, verify: bool = False):
         self.directory = directory
+        self.verify = verify
         self.path = os.path.join(directory, _FILENAME)
         self.entries: dict[str, dict] = {}
         self.hits = 0
@@ -86,6 +89,31 @@ class AscentSetCache:
             return None
         return AscentSet(rs, tuple(letters), mu, elements)
 
+    def ascent_set_word(
+        self, rs: RootSystem, letters: Sequence[Root], mu: Weight,
+        context: Optional[IntegralData] = None,
+    ) -> AscentSet:
+        """:func:`~vermahom.aset.ascent_set_word` through this cache: a hit
+        is returned (recomputed and compared first, with ``verify``), a
+        miss is computed and stored."""
+        got = self.get(rs, letters, mu)
+        if got is None:
+            self.misses += 1
+            got = ascent_set_word(rs, letters, mu, context)
+            self.put(rs, letters, mu, got)
+            return got
+        self.hits += 1
+        if self.verify:
+            # equal members give equal certificates: both follow from the
+            # word and the base weight
+            fresh = ascent_set_word(rs, letters, mu, context)
+            if fresh.elements != got.elements:
+                raise RuntimeError(
+                    "cache verification failed for "
+                    f"{rs.spec} word={[str(a) for a in letters]} mu={mu}"
+                )
+        return got
+
     def put(
         self, rs: RootSystem, letters: Sequence[Root], mu: Weight, result: AscentSet
     ) -> None:
@@ -116,31 +144,3 @@ class AscentSetCache:
             raise
         self._dirty = False
 
-
-def cached_aset_fn(cache: AscentSetCache, verify: bool = False):
-    """An ``ascent_set_word``-compatible callable backed by ``cache``.
-
-    With ``verify`` set, hits are recomputed and compared, so a stale or
-    tampered cache is detected instead of trusted.
-    """
-
-    def fn(rs, letters, mu, context=None):
-        got = cache.get(rs, letters, mu)
-        if got is not None:
-            cache.hits += 1
-            if verify:
-                fresh = ascent_set_word(rs, letters, mu, context)
-                # equal members give equal certificates: both follow
-                # from the word and the base weight
-                if fresh.elements != got.elements:
-                    raise RuntimeError(
-                        "cache verification failed for "
-                        f"{rs.spec} word={[str(a) for a in letters]} mu={mu}"
-                    )
-            return got
-        cache.misses += 1
-        fresh = ascent_set_word(rs, letters, mu, context)
-        cache.put(rs, letters, mu, fresh)
-        return fresh
-
-    return fn

@@ -5,7 +5,9 @@ Subcommands: ``aset`` (ascent-set of a word at a weight), ``hom-verma`` and
 summary), ``table`` (verdicts over a whole orbit/group sweep) and
 ``selfcheck`` (the oracle sweeps).  Output is deterministic: identical
 queries produce byte-identical stdout, with or without the persistent cache
-(cache statistics go to stderr).
+(cache statistics go to stderr).  A run with a cache decides through an
+:class:`~vermahom.criteria.Engine` of its own, which asks the cache once per
+distinct side.
 
 Exit codes: 0 decided/ok, 1 selfcheck counterexample or cache verification
 failure, 2 parse or precondition violation, 3 enumeration bound exceeded.
@@ -18,11 +20,12 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
-from .aset import ascent_set_word, inversion_sequence
-from .cache import CACHE_DIR_ENV, AscentSetCache, cached_aset_fn
-from .criteria import hom_principal_series, hom_twisted_verma
+from .aset import ascent_set_word
+from .cache import CACHE_DIR_ENV, AscentSetCache
+from .criteria import DEFAULT, Engine, hom_principal_series, hom_twisted_verma
 from .errors import (
     DomainError,
     EnumerationBound,
@@ -63,7 +66,6 @@ class Query:
     lam: Optional[str] = None
     criterion: str = "twisted-verma"
     mu_orbit: Optional[str] = None
-    w_all: bool = False
     certificates: bool = False
     normalize: bool = False
     output_format: str = "human"
@@ -132,7 +134,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-orbit", required=True,
                    help="seed weight; both weight slots range over its orbit")
     p.add_argument("--w-all", action="store_true",
-                   help="both group slots range over the whole group")
+                   help="accepted for compatibility: the table always spans "
+                        "the whole group in both group slots")
     p.add_argument("--criterion", default="twisted-verma",
                    choices=("twisted-verma", "principal-series"))
     p.add_argument("--lambda", dest="lam", default=None)
@@ -187,7 +190,6 @@ def parse_query(argv: Sequence[str]) -> Query:
             kwargs["normalize"] = ns.normalize
     elif command == "table":
         kwargs["mu_orbit"] = str(parse_weight(ns.mu_orbit, rs.rank))
-        kwargs["w_all"] = ns.w_all
         kwargs["criterion"] = ns.criterion
     elif command == "selfcheck":
         if ns.types:
@@ -258,32 +260,23 @@ def _verdict_output(verdict, fmt: str, certificates: bool = False) -> str:
     return "\n".join(lines)
 
 
-def _sorted_elements(rs, elements):
-    return sorted(elements, key=lambda w: (length(w), canonical_reduced_word(w)))
+def _open_cache(query: Query) -> Optional[AscentSetCache]:
+    """The invocation's persistent cache, if any; load warnings go to stderr."""
+    directory = None if query.no_cache else (
+        query.cache_dir or os.environ.get(CACHE_DIR_ENV))
+    if not directory:
+        return None
+    cache = AscentSetCache(directory, verify=query.verify_cache)
+    if cache.load_warning:
+        print(f"warning: {cache.load_warning}", file=sys.stderr)
+    return cache
 
 
-class _CacheSession:
-    """Resolves the persistent cache for one invocation."""
-
-    def __init__(self, query: Query):
-        directory = None
-        if not query.no_cache:
-            directory = query.cache_dir or os.environ.get(CACHE_DIR_ENV)
-        self.cache = AscentSetCache(directory) if directory else None
-        if self.cache and self.cache.load_warning:
-            print(f"warning: {self.cache.load_warning}", file=sys.stderr)
-        self.fn = (
-            cached_aset_fn(self.cache, verify=query.verify_cache)
-            if self.cache else None
-        )
-
-    def finish(self) -> None:
-        if self.cache:
-            self.cache.save()
-            print(
-                f"cache: {self.cache.hits} hits, {self.cache.misses} misses",
-                file=sys.stderr,
-            )
+def _close_cache(cache: Optional[AscentSetCache]) -> None:
+    """Save the invocation's cache and report its counts on stderr."""
+    if cache is not None:
+        cache.save()
+        print(f"cache: {cache.hits} hits, {cache.misses} misses", file=sys.stderr)
 
 
 def _run_aset(query: Query) -> int:
@@ -298,12 +291,12 @@ def _run_aset(query: Query) -> int:
         context = None
     indices = parse_word(query.words[0], len(simples))
     letters = tuple(simples[i - 1] for i in indices)
-    session = _CacheSession(query)
-    fn = session.fn or ascent_set_word
-    result = fn(rs, letters, mu, context)
-    session.finish()
+    cache = _open_cache(query)
+    fetch = ascent_set_word if cache is None else cache.ascent_set_word
+    result = fetch(rs, letters, mu, context)
+    _close_cache(cache)
     elements = sorted(result.elements)
-    betas = inversion_sequence(rs, letters)
+    betas = result.inversion
     if query.output_format == "json":
         payload = {
             "root_system": str(rs.spec),
@@ -350,17 +343,16 @@ def _run_hom(query: Query) -> int:
     w2 = from_word(rs, parse_word(query.words[1], rs.rank))
     mu1 = parse_weight(query.weights[0], rs.rank)
     mu2 = parse_weight(query.weights[1], rs.rank)
-    session = _CacheSession(query)
+    cache = _open_cache(query)
+    engine = DEFAULT if cache is None else Engine(cache)
     if query.command == "hom-verma":
-        verdict = hom_twisted_verma(w1, mu1, w2, mu2, aset_word_fn=session.fn)
+        verdict = hom_twisted_verma(w1, mu1, w2, mu2, engine=engine)
     else:
         lam = parse_weight(query.lam, rs.rank)
         if query.normalize:
             lam, (w1, mu1), (w2, mu2) = _normalize_query(rs, lam, w1, mu1, w2, mu2)
-        verdict = hom_principal_series(
-            lam, w1, mu1, w2, mu2, aset_word_fn=session.fn
-        )
-    session.finish()
+        verdict = hom_principal_series(lam, w1, mu1, w2, mu2, engine=engine)
+    _close_cache(cache)
     print(_verdict_output(verdict, query.output_format, query.certificates))
     return 0
 
@@ -416,19 +408,13 @@ def _run_integral(query: Query) -> int:
 def _run_table(query: Query) -> int:
     rs = build_root_system(query.root_system)
     mu0 = parse_weight(query.mu_orbit, rs.rank)
-    session = _CacheSession(query)
-    rows = []
+    cache = _open_cache(query)
+    engine = DEFAULT if cache is None else Engine(cache)
     if query.criterion == "twisted-verma":
-        group = _sorted_elements(rs, enumerate_group(rs))
+        group = sorted(enumerate_group(rs),
+                       key=lambda w: (length(w), canonical_reduced_word(w)))
         orbit = sorted({w.act(mu0) for w in group})
-        for w1 in group:
-            for m1 in orbit:
-                for w2 in group:
-                    for m2 in orbit:
-                        verdict = hom_twisted_verma(
-                            w1, m1, w2, m2, aset_word_fn=session.fn
-                        )
-                        rows.append((w1, m1, w2, m2, verdict))
+        decide = hom_twisted_verma
     else:
         if query.lam is None:
             raise PreconditionError("table --criterion principal-series "
@@ -443,15 +429,12 @@ def _run_table(query: Query) -> int:
         for m in orbit:
             if not (m - lam).is_integral():
                 raise DomainError("orbit weight leaves lambda + weight lattice")
-        for w1 in group:
-            for m1 in orbit:
-                for w2 in group:
-                    for m2 in orbit:
-                        verdict = hom_principal_series(
-                            lam, w1, m1, w2, m2, aset_word_fn=session.fn
-                        )
-                        rows.append((w1, m1, w2, m2, verdict))
-    session.finish()
+        decide = partial(hom_principal_series, lam)
+    rows = [
+        (w1, m1, w2, m2, decide(w1, m1, w2, m2, engine=engine))
+        for w1 in group for m1 in orbit for w2 in group for m2 in orbit
+    ]
+    _close_cache(cache)
     if query.output_format == "json":
         payload = {
             "kind": query.criterion,

@@ -8,14 +8,15 @@ carries the translated sets, a witness from the intersection when nonempty,
 and the derived statement that all higher extension groups vanish exactly
 when the Hom space does.  It keeps the two ascent sets it was decided from
 and builds the witness certificates from them the first time they are read,
-so sweeps that only ask for the verdict never pay for certificates.
+and the parameter echo likewise, so sweeps that only ask for the verdict
+pay for neither.
 
-The translated sets are memoized per (system, element, weight), and so are
-the precondition checks (dominance of the weight, membership of the twists
-in its integral Weyl group), which makes large sweeps (orbit tables,
-invariance checks) cheap.  An injected ascent-set function (e.g. the
-persistent-cache wrapper) bypasses the translated-set memo; certificates
-never call it again.
+Every translated set comes from an :class:`Engine`: one bounded memo per
+(side, integral data, element, weight), with an optional persistent
+:class:`~vermahom.cache.AscentSetCache` beneath it that is asked once per
+distinct side.  The precondition checks (dominance of the weight, membership
+of the twists in its integral Weyl group) are memoized as well, which makes
+large sweeps (orbit tables, invariance checks) cheap.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 from .aset import AscentSet, ascent_set
+from .cache import AscentSetCache
 from .errors import DomainError, PreconditionError
 from .integral import (
     IntegralData,
@@ -51,7 +53,8 @@ class HomVerdict:
 
     ``left_certificate`` and ``right_certificate`` replay the witness on each
     side (``None`` for a zero Hom space).  They are built on first read, from
-    the ascent sets the verdict was decided from, and then kept.
+    the ascent sets the verdict was decided from, and then kept; so is
+    ``parameters``, the echo of the query.
     """
 
     hom_nonzero: bool
@@ -59,10 +62,14 @@ class HomVerdict:
     witness: Optional[Weight]
     left_set: frozenset[Weight]
     right_set: frozenset[Weight]
-    parameters: dict
+    _describe: Callable[[], dict] = field(repr=False, compare=False)
     _certify: Optional[Callable[[], tuple]] = field(
         default=None, repr=False, compare=False
     )
+
+    @cached_property
+    def parameters(self) -> dict:
+        return self._describe()
 
     @cached_property
     def _certificates(self) -> tuple:
@@ -134,14 +141,14 @@ def _certificate(side: _Side, witness: Weight) -> Optional[dict]:
     return None
 
 
-def _verdict(left: _Side, right: _Side, parameters) -> HomVerdict:
+def _verdict(left: _Side, right: _Side, describe) -> HomVerdict:
     intersection = left.elements & right.elements
     if not intersection:
         return HomVerdict(False, True, None, left.elements, right.elements,
-                          parameters)
+                          describe)
     witness = min(intersection)
     return HomVerdict(
-        True, False, witness, left.elements, right.elements, parameters,
+        True, False, witness, left.elements, right.elements, describe,
         lambda: (_certificate(left, witness), _certificate(right, witness)),
     )
 
@@ -169,54 +176,60 @@ def _congruent(mu: Weight, lam: Weight) -> bool:
     return (mu - lam).is_integral()
 
 
-# -- translated-set builders -------------------------------------------------
+# -- translated sets ---------------------------------------------------------
 
 
-def _twisted_left(rs: RootSystem, w1: WeylElem, mu1: Weight, fn) -> _Side:
-    data = integral_data(rs, rs.rho)  # full system: every root is integral
-    aset = ascent_set(inverse(w1), mu1, data, word_fn=fn)
-    return _Side(frozenset(w1.act(x) for x in aset.elements), aset, w1)
+def _side(data: IntegralData, x: WeylElem, nu: Weight, translate: WeylElem,
+          fetch, stabilized: Optional[IntegralData] = None) -> _Side:
+    """The side over the ascent set of ``x`` at ``nu``; ``fetch`` as in
+    :func:`~vermahom.aset.ascent_set`."""
+    aset = ascent_set(x, nu, data, word_fn=fetch)
+    elements = frozenset(translate.act(y) for y in aset.elements)
+    if stabilized is not None:
+        elements = frozenset(u.act(y) for u in stabilizer_elements(stabilized)
+                             for y in elements)
+    return _Side(elements, aset, translate, stabilized)
 
 
-def _twisted_right(rs: RootSystem, w2: WeylElem, mu2: Weight, fn) -> _Side:
-    data = integral_data(rs, rs.rho)
-    w0 = longest_element(rs)
-    aset = ascent_set(multiply(w0, inverse(w2)), w0.act(mu2), data, word_fn=fn)
-    translate = multiply(w2, w0)
-    return _Side(frozenset(translate.act(x) for x in aset.elements), aset,
-                 translate)
+def _twisted_left(data: IntegralData, w1: WeylElem, mu1: Weight, fetch) -> _Side:
+    return _side(data, inverse(w1), mu1, w1, fetch)
 
 
-def _ps_left(data: IntegralData, w1: WeylElem, mu1: Weight, fn) -> _Side:
+def _twisted_right(data: IntegralData, w2: WeylElem, mu2: Weight, fetch) -> _Side:
+    w0 = longest_element(data.rs)
+    return _side(data, multiply(w0, inverse(w2)), w0.act(mu2),
+                 multiply(w2, w0), fetch)
+
+
+def _ps_left(data: IntegralData, w1: WeylElem, mu1: Weight, fetch) -> _Side:
     wl = data.longest_element
-    aset = ascent_set(multiply(wl, w1), wl.act(mu1), data, word_fn=fn)
-    translate = multiply(inverse(w1), wl)
-    return _Side(frozenset(translate.act(x) for x in aset.elements), aset,
-                 translate)
+    return _side(data, multiply(wl, w1), wl.act(mu1),
+                 multiply(inverse(w1), wl), fetch)
 
 
-def _ps_right(data: IntegralData, w2: WeylElem, mu2: Weight, fn) -> _Side:
-    w2_inv = inverse(w2)
-    aset = ascent_set(w2, mu2, data, word_fn=fn)
-    base = [w2_inv.act(x) for x in aset.elements]
-    elements = frozenset(
-        u.act(x) for u in stabilizer_elements(data) for x in base
-    )
-    return _Side(elements, aset, w2_inv, data)
+def _ps_right(data: IntegralData, w2: WeylElem, mu2: Weight, fetch) -> _Side:
+    return _side(data, w2, mu2, inverse(w2), fetch, stabilized=data)
 
 
-_twisted_left_cached = lru_cache(maxsize=65536)(
-    lambda rs, w1, mu1: _twisted_left(rs, w1, mu1, None)
-)
-_twisted_right_cached = lru_cache(maxsize=65536)(
-    lambda rs, w2, mu2: _twisted_right(rs, w2, mu2, None)
-)
-_ps_left_cached = lru_cache(maxsize=65536)(
-    lambda data, w1, mu1: _ps_left(data, w1, mu1, None)
-)
-_ps_right_cached = lru_cache(maxsize=65536)(
-    lambda data, w2, mu2: _ps_right(data, w2, mu2, None)
-)
+class Engine:
+    """The one way the criteria reach a translated set: ``side(builder,
+    data, w, mu)`` memoizes the four builders above in one bounded memo, and
+    on a miss their ascent sets come from ``cache`` when there is one.  The
+    library uses the cacheless, process-wide :data:`DEFAULT`; a CLI run with
+    a cache builds its own.
+    """
+
+    def __init__(self, cache: Optional[AscentSetCache] = None):
+        self.cache = cache
+        fetch = None if cache is None else cache.ascent_set_word
+        # the memo must not reach the engine: the cycle would keep a dropped
+        # engine and its sets alive until the cyclic collector runs
+        self.side = lru_cache(maxsize=262144)(
+            lambda builder, data, w, mu: builder(data, w, mu, fetch)
+        )
+
+
+DEFAULT = Engine()
 
 
 def hom_twisted_verma(
@@ -224,7 +237,7 @@ def hom_twisted_verma(
     mu1: Weight,
     w2: WeylElem,
     mu2: Weight,
-    aset_word_fn=None,
+    engine: Optional[Engine] = None,
 ) -> HomVerdict:
     """Does a nonzero map exist from the (w1, mu1) to the (w2, mu2) twisted
     Verma module?
@@ -235,27 +248,24 @@ def hom_twisted_verma(
     Ascent words run over the full simple system.  If the two weights are
     not congruent modulo the weight lattice, the query is still answered
     from the formula but the mismatch is flagged in the parameter echo.
+    Sets come from ``engine``, :data:`DEFAULT` if None.
     """
     rs = _common_system(w1, w2)
-    if aset_word_fn is None:
-        left = _twisted_left_cached(rs, w1, mu1)
-        right = _twisted_right_cached(rs, w2, mu2)
-    else:
-        left = _twisted_left(rs, w1, mu1, aset_word_fn)
-        right = _twisted_right(rs, w2, mu2, aset_word_fn)
-    notes = []
-    if not (mu1 - mu2).is_integral():
-        notes.append("weights differ by a non-integral weight (disjoint lattices)")
-    parameters = {
+    engine = DEFAULT if engine is None else engine
+    data = integral_data(rs, rs.rho)  # full system: every root is integral
+    left = engine.side(_twisted_left, data, w1, mu1)
+    right = engine.side(_twisted_right, data, w2, mu2)
+    return _verdict(left, right, lambda: {
         "kind": "twisted-verma",
         "root_system": str(rs.spec),
         "w1": str(w1),
         "mu1": str(mu1),
         "w2": str(w2),
         "mu2": str(mu2),
-        "notes": notes,
-    }
-    return _verdict(left, right, parameters)
+        "notes": [] if _congruent(mu1, mu2) else [
+            "weights differ by a non-integral weight (disjoint lattices)"
+        ],
+    })
 
 
 def hom_principal_series(
@@ -264,7 +274,7 @@ def hom_principal_series(
     mu1: Weight,
     w2: WeylElem,
     mu2: Weight,
-    aset_word_fn=None,
+    engine: Optional[Engine] = None,
 ) -> HomVerdict:
     """Does a nonzero map exist between the principal series with parameters
     (w1 lam, mu1) and (w2 lam, mu2)?
@@ -273,7 +283,8 @@ def hom_principal_series(
     weights congruent to ``lam`` modulo the weight lattice; the left ascent
     set is taken at the longest-integral-element translate of ``mu1`` and the
     right side is saturated by the stabilizer of ``lam``.  Words run over the
-    integral simple system with integral-length-reduced expressions.
+    integral simple system with integral-length-reduced expressions.  Sets
+    come from ``engine``, :data:`DEFAULT` if None.
     """
     rs = _common_system(w1, w2)
     if not _is_dominant(rs, lam):
@@ -291,13 +302,10 @@ def hom_principal_series(
                 f"{name} does not lie in lambda + (weight lattice); the module "
                 "vanishes for such parameters"
             )
-    if aset_word_fn is None:
-        left = _ps_left_cached(data, w1, mu1)
-        right = _ps_right_cached(data, w2, mu2)
-    else:
-        left = _ps_left(data, w1, mu1, aset_word_fn)
-        right = _ps_right(data, w2, mu2, aset_word_fn)
-    parameters = {
+    engine = DEFAULT if engine is None else engine
+    left = engine.side(_ps_left, data, w1, mu1)
+    right = engine.side(_ps_right, data, w2, mu2)
+    return _verdict(left, right, lambda: {
         "kind": "principal-series",
         "root_system": str(rs.spec),
         "lambda": str(lam),
@@ -306,8 +314,7 @@ def hom_principal_series(
         "w2": str(w2),
         "mu2": str(mu2),
         "notes": [],
-    }
-    return _verdict(left, right, parameters)
+    })
 
 
 def normalize_principal_series(

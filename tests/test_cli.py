@@ -10,6 +10,7 @@ from vermahom.cli import main, parse_query
 from vermahom.integral import integral_data
 from vermahom.rootsystem import Root, RootSystemSpec, build_root_system, parse_weight
 from vermahom.weyl import (
+    enumerate_group,
     format_word,
     from_word,
     inverse,
@@ -382,13 +383,56 @@ def test_verify_cache_detects_tampering(capsys, tmp_path):
     raw = json.loads((tmp_path / "aset_cache.json").read_text())
     key = next(iter(raw["entries"]))
     raw["entries"][key]["elements"] = ["(-3)"]
-    raw["entries"][key]["certificates"] = {"(-3)": []}
     (tmp_path / "aset_cache.json").write_text(json.dumps(raw))
-    code, _, err = run_cli(
-        capsys,
-        ["aset", "A1", "1", "(-3)", "--cache-dir", str(tmp_path), "--verify-cache"],
+    # both read the word s1 at (-3): directly, and as the right side of the
+    # twisted query, through the engine's memo
+    for argv in (["aset", "A1", "1", "(-3)"],
+                 ["hom-verma", "A1", "e", "(-3)", "e", "(3)"]):
+        code, out, err = run_cli(
+            capsys, argv + ["--cache-dir", str(tmp_path), "--verify-cache"]
+        )
+        assert code == 1 and out == "" and "verification failed" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "B2", "--mu-orbit", "(0,1)", "--format", "tsv"],
+    ["table", "B2", "--mu-orbit", "(0,1)", "--criterion", "principal-series",
+     "--lambda", "(0,1)", "--format", "json"],
+])
+def test_table_output_and_cache_use_per_distinct_side(capsys, tmp_path, argv):
+    cache = ["--cache-dir", str(tmp_path)]
+    _, plain, _ = run_cli(capsys, argv + ["--no-cache"])
+    code, cold, err = run_cli(capsys, argv + cache)
+    assert code == 0 and cold == plain
+    # each of the |W| * |orbit| left and right sides is asked for once, and
+    # every miss is one entry (the two sides share words here)
+    rs = build_root_system("B2")
+    group = enumerate_group(rs)
+    orbit = {w.act(rs.weight((0, 1))) for w in group}
+    hits, misses = map(int, re.fullmatch(
+        r"cache: (\d+) hits, (\d+) misses\n", err).groups())
+    assert hits + misses == 2 * len(group) * len(orbit)
+    entries = json.loads((tmp_path / "aset_cache.json").read_text())["entries"]
+    assert misses == len(entries)
+    code, warm, err = run_cli(capsys, argv + cache)
+    assert code == 0 and warm == plain and err.endswith(" 0 misses\n")
+    code, verified, _ = run_cli(capsys, argv + cache + ["--verify-cache"])
+    assert code == 0 and verified == plain
+
+
+def test_runs_with_different_cache_dirs_fill_their_own(capsys, tmp_path):
+    argv = ["hom-verma", "B2", "s1", "(-1,-1)", "s2", "(1,1)", "--format", "json"]
+    outputs = []
+    for name in ("one", "two"):
+        code, out, err = run_cli(capsys, argv + ["--cache-dir", str(tmp_path / name)])
+        assert code == 0 and err == "cache: 0 hits, 2 misses\n"
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    one, two = (
+        json.loads((tmp_path / name / "aset_cache.json").read_text())["entries"]
+        for name in ("one", "two")
     )
-    assert code == 1 and "verification failed" in err
+    assert len(one) == 2 and one == two
 
 
 def test_cached_certificates_are_read_only(tmp_path):

@@ -1,12 +1,16 @@
+import gc
 import itertools
 import time
+import weakref
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from vermahom.cache import AscentSetCache
 from vermahom.criteria import (
+    Engine,
     hom_principal_series,
     hom_twisted_verma,
     normalize_principal_series,
@@ -124,6 +128,30 @@ def test_lattice_mismatch_is_flagged():
     assert verdict.parameters["notes"]
     same = hom_twisted_verma(e, rs.rho, e, rs.rho)
     assert same.parameters["notes"] == []
+
+
+def test_engine_with_a_cache_matches_default_and_is_freed_on_drop(tmp_path):
+    rs = build_root_system("B2")
+    group = enumerate_group(rs)
+    lam = rs.weight((0, 1))
+    cache = AscentSetCache(str(tmp_path))
+    engine = Engine(cache)
+    for w1, w2 in itertools.product(group, repeat=2):
+        for decide in (hom_twisted_verma,
+                       lambda *a, **k: hom_principal_series(lam, *a, **k)):
+            mine = decide(w1, lam, w2, w1.act(lam), engine=engine)
+            default = decide(w1, lam, w2, w1.act(lam))
+            assert mine.to_dict() == default.to_dict()
+            assert mine.certificates_dict() == default.certificates_dict()
+    # a memo that reached the engine would make a cycle, keeping a dropped
+    # per-run engine and its sets until the cyclic collector runs
+    ref = weakref.ref(engine)
+    gc.disable()
+    try:
+        del engine
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_mixed_root_systems_rejected():
