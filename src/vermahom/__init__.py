@@ -1,7 +1,8 @@
 """Exact decision procedures for homomorphisms between twisted Verma modules
 and between principal series, over root-system and Weyl-group combinatorics.
 
-Everything is computed with exact rational arithmetic.  The public surface
+Root data and Weyl group elements are integers and weights are exact
+rationals, so everything is computed exactly.  The public surface
 splits into: root systems (:mod:`~vermahom.rootsystem`), Weyl group elements
 (:mod:`~vermahom.weyl`), integral subsystems of a weight
 (:mod:`~vermahom.integral`), ascent sets (:mod:`~vermahom.aset`), the two

@@ -405,8 +405,16 @@ def check_oracle_agreement(
     random_pairs: int = 200,
     seed: int = 0,
 ) -> CheckReport:
-    """The twisted-Verma criterion at identity twists agrees with the
-    strong-linkage search, on an integral box and random rational weights."""
+    """The twisted-Verma criterion agrees with three closed forms, on an
+    integral box and random rational weights.
+
+    At the identity twists it agrees with the strong-linkage search for
+    ``Hom(M(mu1), M(mu2))``.  Twisting by ``w0`` gives dual Verma modules and
+    duality reverses Hom, so at ``(w0, w0)`` it agrees with the search for
+    ``Hom(M(w0 mu2), M(w0 mu1))``.  A Verma module maps to a dual Verma
+    module only at equal highest weights, so at ``(e, w0)`` it holds iff
+    ``mu1 == w0 mu2``.
+    """
     rng = random.Random(seed)
     coords = range(-radius, radius + 1)
     box = [
@@ -418,19 +426,27 @@ def check_oracle_agreement(
         pairs = rng.sample(pairs, max_exhaustive)
     for _ in range(random_pairs):
         pairs.append((random_weight(rng, rs.rank), random_weight(rng, rs.rank)))
-    e = identity(rs)
+    e, w0 = identity(rs), longest_element(rs)
     cases = 0
     for mu1, mu2 in pairs:
-        cases += 1
-        criterion = hom_twisted_verma(e, mu1, e, mu2).hom_nonzero
-        bfs, chain = bgg_verma_hom(rs, mu1, mu2)
-        if criterion != bfs:
-            return CheckReport(
-                "oracle-agreement", str(rs), cases, False,
-                f"mu1={mu1} mu2={mu2}: criterion={criterion} linkage={bfs}",
-            )
-        if chain is not None:
-            validate_chain(rs, chain)
+        linked, chain = bgg_verma_hom(rs, mu1, mu2)
+        dual, dual_chain = bgg_verma_hom(rs, w0.act(mu2), w0.act(mu1))
+        for x1, x2, expected, form in (
+            (e, e, linked, "linkage"),
+            (w0, w0, dual, "reversed linkage at w0"),
+            (e, w0, mu1 == w0.act(mu2), "mu1 == w0 mu2"),
+        ):
+            cases += 1
+            criterion = hom_twisted_verma(x1, mu1, x2, mu2).hom_nonzero
+            if criterion != expected:
+                return CheckReport(
+                    "oracle-agreement", str(rs), cases, False,
+                    f"w1={x1} mu1={mu1} w2={x2} mu2={mu2}: "
+                    f"criterion={criterion} {form}={expected}",
+                )
+        for c in (chain, dual_chain):
+            if c is not None:
+                validate_chain(rs, c)
     return CheckReport("oracle-agreement", str(rs), cases, True)
 
 

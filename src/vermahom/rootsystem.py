@@ -2,14 +2,10 @@
 
 Weights are stored in the fundamental-weight basis, so coordinate ``i`` of a
 weight ``mu`` is the coroot pairing of the ``i``-th simple root against
-``mu``.  Roots are integer vectors in the simple-root basis.  All scalars are
-:class:`fractions.Fraction`; no floating point is used anywhere.
-
-The bilinear form is the standard normalized invariant form (long roots of
-squared length 2 in each simple component).  Every quantity exposed here
-(coroot pairings, reflections, dominance) is invariant under rescaling the
-form, so the normalization is unobservable through the public API.
-"""
+``mu``.  Roots are integer vectors in the simple-root basis and coroots are
+integer vectors in the simple-coroot basis; both come from the Cartan matrix
+alone.  Only weights are rational (:class:`fractions.Fraction`); no floating
+point is used anywhere."""
 
 from __future__ import annotations
 
@@ -258,22 +254,24 @@ class RootSystem:
         # Block-diagonal Cartan matrix: cartan[i][j] = pairing of the i-th
         # simple coroot against the j-th simple root.
         cartan = [[0] * self.rank for _ in range(self.rank)]
-        offsets = []
         pos = 0
         for letter, n in spec.components:
-            offsets.append((pos, pos + n))
             block = _cartan_block(letter, n)
             for i in range(n):
                 for j in range(n):
                     cartan[pos + i][pos + j] = block[i][j]
             pos += n
         self.cartan: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in cartan)
-        self.symmetrizer = self._symmetrize(offsets)
         self.simple_roots = tuple(
             Root(tuple(1 if j == i else 0 for j in range(self.rank)))
             for i in range(self.rank)
         )
-        self.roots = frozenset(Root(c) for c in self._close_roots())
+        # Each root's coroot in simple-coroot coordinates: the linear
+        # functional computing the pairing against a weight.
+        self._coroot: dict[Root, tuple[int, ...]] = {
+            Root(c): cv for c, cv in self._close_roots().items()
+        }
+        self.roots = frozenset(self._coroot)
         self.positive_roots = tuple(
             sorted((r for r in self.roots if r.is_positive),
                    key=lambda r: (r.height, r.coords))
@@ -281,61 +279,38 @@ class RootSystem:
         self.rho = Weight(tuple(Fraction(1) for _ in range(self.rank)))
         self.cartan_inverse = invert_matrix(self.cartan)
 
-        # Per-root caches: fundamental-weight coordinates and the linear
-        # functional computing the coroot pairing against a weight.
+        # Each root's fundamental-weight coordinates, and the inverse map.
         self._weight_coords: dict[Root, tuple[int, ...]] = {}
-        self._coroot: dict[Root, tuple[Fraction, ...]] = {}
         self._by_weight: dict[tuple[int, ...], Root] = {}
         for root in self.roots:
             wc = tuple(
                 sum(self.cartan[i][j] * root.coords[j] for j in range(self.rank))
                 for i in range(self.rank)
             )
-            halfnorm = (
-                sum(c * d * w for c, d, w in
-                    zip(root.coords, self.symmetrizer, wc)) / 2
-            )
-            vec = tuple(
-                Fraction(c) * d / halfnorm
-                for c, d in zip(root.coords, self.symmetrizer)
-            )
             self._weight_coords[root] = wc
-            self._coroot[root] = vec
             self._by_weight[wc] = root
 
-    def _symmetrize(self, offsets: Sequence[tuple[int, int]]) -> tuple[Fraction, ...]:
-        # d_i = (alpha_i, alpha_i)/2, normalized so long roots get 1 per component
-        d: list[Fraction | None] = [None] * self.rank
-        for start, stop in offsets:
-            d[start] = Fraction(1)
-            pending = [start]
-            while pending:
-                i = pending.pop()
-                for j in range(start, stop):
-                    if self.cartan[i][j] != 0 and i != j and d[j] is None:
-                        d[j] = d[i] * Fraction(self.cartan[i][j], self.cartan[j][i])
-                        pending.append(j)
-            top = max(d[start:stop])
-            for k in range(start, stop):
-                d[k] = d[k] / top
-        return tuple(d)
-
-    def _close_roots(self) -> set[tuple[int, ...]]:
-        seen = {r.coords for r in (
-            Root(tuple(1 if j == i else 0 for j in range(self.rank)))
-            for i in range(self.rank))}
-        frontier = set(seen)
+    def _close_roots(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Every root mapped to its coroot: the closure of the simple pairs
+        ``(alpha_i, alpha_i^vee)`` under the simple reflections, since the
+        coroot of ``s_i beta`` is ``s_i beta^vee``.  A root moves by row ``i``
+        of the Cartan matrix, its coroot by column ``i``."""
+        n = self.rank
+        seen = {r.coords: r.coords for r in self.simple_roots}
+        frontier = list(seen)
         while frontier:
-            nxt = set()
+            nxt = []
             for c in frontier:
-                for i in range(self.rank):
-                    p = sum(self.cartan[i][j] * c[j] for j in range(self.rank) if c[j])
+                cv = seen[c]
+                for i in range(n):
                     img = list(c)
-                    img[i] -= p
+                    img[i] -= sum(self.cartan[i][j] * c[j] for j in range(n) if c[j])
                     t = tuple(img)
                     if t not in seen:
-                        seen.add(t)
-                        nxt.add(t)
+                        co = list(cv)
+                        co[i] -= sum(self.cartan[j][i] * cv[j] for j in range(n) if cv[j])
+                        seen[t] = tuple(co)
+                        nxt.append(t)
             frontier = nxt
         return seen
 
@@ -353,9 +328,6 @@ class RootSystem:
         if r not in self.roots:
             raise DomainError(f"{r} is not a root of {self}")
         return r
-
-    def is_root(self, root: Root) -> bool:
-        return root in self.roots
 
     def root_as_weight(self, root: Root) -> Weight:
         """The fundamental-weight coordinates of a root."""
@@ -377,7 +349,7 @@ class RootSystem:
             raise DomainError(f"{beta} is not a root of {self}")
         if len(mu.coords) != self.rank:
             raise DomainError(f"weight rank {len(mu.coords)} != system rank {self.rank}")
-        return sum((v * m for v, m in zip(vec, mu.coords)), Fraction(0))
+        return sum((m * v for v, m in zip(vec, mu.coords)), Fraction(0))
 
     def reflect(self, beta: Root, mu: Weight) -> Weight:
         """Reflection of ``mu`` in the hyperplane orthogonal to ``beta``."""
@@ -385,18 +357,14 @@ class RootSystem:
         wc = self._weight_coords[beta]
         return Weight(tuple(x - m * w for x, w in zip(mu.coords, wc)))
 
-    def to_root_basis(self, mu: Weight) -> tuple[Fraction, ...]:
-        """Coordinates of a weight in the simple-root basis."""
-        if len(mu.coords) != self.rank:
-            raise DomainError(f"weight rank {len(mu.coords)} != system rank {self.rank}")
-        return tuple(
-            sum((row[j] * mu.coords[j] for j in range(self.rank)), Fraction(0))
-            for row in self.cartan_inverse
-        )
-
     def in_root_lattice(self, mu: Weight) -> bool:
         """Is the weight an integer combination of roots?"""
-        return all(c.denominator == 1 for c in self.to_root_basis(mu))
+        if len(mu.coords) != self.rank:
+            raise DomainError(f"weight rank {len(mu.coords)} != system rank {self.rank}")
+        return all(
+            sum((r * m for r, m in zip(row, mu.coords)), Fraction(0)).denominator == 1
+            for row in self.cartan_inverse
+        )
 
     def is_dominant(self, lam: Weight) -> bool:
         """True iff no positive root pairs with ``lam`` to a negative integer.

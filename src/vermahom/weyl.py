@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, EnumerationBound, ValidationError
-from .rootsystem import Root, RootSystem, Weight, invert_matrix, weyl_group_order
+from .rootsystem import Root, RootSystem, Weight, weyl_group_order
 
 DEFAULT_GROUP_BOUND = 3_628_800  # 10!
 DEFAULT_WORD_LENGTH_BOUND = 16
@@ -87,16 +87,10 @@ def reflection(rs: RootSystem, beta: Root) -> WeylElem:
     memo is bounded by the number of roots."""
     wc = rs._require(beta)
     vec = rs._coroot[beta]
-    rows = []
-    for j in range(rs.rank):
-        row = []
-        for k in range(rs.rank):
-            entry = (1 if j == k else 0) - wc[j] * vec[k]
-            if entry.denominator != 1:
-                raise DomainError(f"{beta} does not define an integral reflection")
-            row.append(int(entry))
-        rows.append(tuple(row))
-    return WeylElem(rs, tuple(rows))
+    return WeylElem(rs, tuple(
+        tuple((1 if j == k else 0) - wc[j] * vec[k] for k in range(rs.rank))
+        for j in range(rs.rank)
+    ))
 
 
 def multiply(u: WeylElem, v: WeylElem) -> WeylElem:
@@ -113,8 +107,10 @@ def multiply(u: WeylElem, v: WeylElem) -> WeylElem:
 
 @lru_cache(maxsize=None)
 def inverse(u: WeylElem) -> WeylElem:
-    matrix = tuple(tuple(int(x) for x in row) for row in invert_matrix(u.matrix))
-    return WeylElem(u.rs, matrix)
+    """Row ``i`` of the inverse is the coroot of ``u(alpha_i)``, since
+    ``(u^{-1} mu)_i = <mu, u alpha_i^vee>``."""
+    rs = u.rs
+    return WeylElem(rs, tuple(rs._coroot[u.act_on_root(a)] for a in rs.simple_roots))
 
 
 @lru_cache(maxsize=None)

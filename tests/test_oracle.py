@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from vermahom import oracle
 from vermahom.aset import ascent_set_word
 from vermahom.errors import DomainError
 from vermahom.oracle import (
@@ -18,7 +19,7 @@ from vermahom.oracle import (
     validate_chain,
 )
 from vermahom.rootsystem import Weight, build_root_system
-from vermahom.weyl import enumerate_group
+from vermahom.weyl import enumerate_group, identity, longest_element
 
 
 def test_bgg_identity():
@@ -118,6 +119,26 @@ def test_oracle_agreement_small():
         build_root_system("A2"), radius=1, max_exhaustive=81, random_pairs=40
     )
     assert report.passed, report.counterexample
+
+
+@pytest.mark.parametrize("twist", [("w0", "w0"), ("e", "w0")])
+def test_oracle_agreement_catches_a_criterion_wrong_only_at_w0(monkeypatch, twist):
+    rs = build_root_system("A2")
+    named = {"e": identity(rs), "w0": longest_element(rs)}
+    bad = tuple(named[t] for t in twist)
+    real = oracle.hom_twisted_verma
+
+    def wrong_at_twist(w1, mu1, w2, mu2, engine=None):
+        verdict = real(w1, mu1, w2, mu2, engine)
+        if (w1, w2) == bad:
+            return dataclasses.replace(verdict, hom_nonzero=not verdict.hom_nonzero)
+        return verdict
+
+    monkeypatch.setattr(oracle, "hom_twisted_verma", wrong_at_twist)
+    report = check_oracle_agreement(rs, radius=1, random_pairs=10)
+    assert not report.passed
+    assert f"w1={bad[0]}" in report.counterexample
+    assert f"w2={bad[1]}" in report.counterexample
 
 
 def test_reports_are_deterministic():

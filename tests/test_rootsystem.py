@@ -175,11 +175,32 @@ def test_semisimple_direct_sum():
     assert rs.reflect(b, rs.weight((3, 5))) == rs.weight((3, -5))
 
 
-def test_mixed_length_symmetrizer():
-    # long roots of squared length 2 per component; short roots scale down
-    b2 = build_root_system("B2")
-    assert b2.symmetrizer == (F(1), F(1, 2))
-    g2 = build_root_system("G2")
-    assert g2.symmetrizer == (F(1, 3), F(1))
-    mixed = build_root_system("A1xG2")
-    assert mixed.symmetrizer == (F(1), F(1, 3), F(1))
+def _coroot_coords(rs, beta):
+    # pairing against the fundamental weights reads off the coroot in
+    # simple-coroot coordinates
+    return tuple(
+        rs.pairing(beta, rs.weight([1 if j == k else 0 for j in range(rs.rank)]))
+        for k in range(rs.rank)
+    )
+
+
+@pytest.mark.parametrize("name,dual,reverse", [
+    ("B3", "C3", False), ("C3", "B3", False),
+    ("C4", "B4", False), ("B4", "C4", False),
+    ("A1xB2", "A1xC2", False),
+    ("G2", "G2", True), ("F4", "F4", True),
+])
+def test_coroots_are_integral_and_form_the_dual_system(name, dual, reverse):
+    rs = build_root_system(name)
+    coroots = {_coroot_coords(rs, beta) for beta in rs.roots}
+    assert all(c.denominator == 1 for co in coroots for c in co)
+    expected = {r.coords[::-1] if reverse else r.coords
+                for r in build_root_system(dual).roots}
+    assert coroots == expected
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_simply_laced_coroot_equals_root(name):
+    rs = build_root_system(name)
+    for beta in rs.roots:
+        assert _coroot_coords(rs, beta) == beta.coords

@@ -171,3 +171,11 @@ def test_matrices_are_integral_and_permute_roots():
     for w in enumerate_group(rs):
         assert all(isinstance(x, int) for row in w.matrix for x in row)
         assert {w.act_on_root(beta) for beta in rs.roots} == set(rs.roots)
+
+
+@pytest.mark.parametrize("name", ["C3", "A1xB2", "G2xA1", "F4"])
+def test_inverse_over_whole_group(name):
+    rs = build_root_system(name)
+    for w in enumerate_group(rs):
+        assert multiply(w, inverse(w)).is_identity
+        assert multiply(inverse(w), w).is_identity
