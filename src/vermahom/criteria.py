@@ -14,9 +14,9 @@ pay for neither.
 Every translated set comes from an :class:`Engine`: one bounded memo per
 (side, integral data, element, weight), with an optional persistent
 :class:`~vermahom.cache.AscentSetCache` beneath it that is asked once per
-distinct side.  The precondition checks (dominance of the weight, membership
-of the twists in its integral Weyl group) are memoized as well, which makes
-large sweeps (orbit tables, invariance checks) cheap.
+distinct side.  A principal-series side checks its own twist and weight on
+a memo miss, so large sweeps (orbit tables, invariance checks) check each
+valid side once, while an invalid query, never stored, raises on every call.
 """
 
 from __future__ import annotations
@@ -161,21 +161,6 @@ def _common_system(*elements: WeylElem) -> RootSystem:
     return rs
 
 
-@lru_cache(maxsize=65536)
-def _is_dominant(rs: RootSystem, lam: Weight) -> bool:
-    return rs.is_dominant(lam)
-
-
-@lru_cache(maxsize=65536)
-def _in_integral_group(w: WeylElem, data: IntegralData) -> bool:
-    return in_integral_group(w, data)
-
-
-@lru_cache(maxsize=65536)
-def _congruent(mu: Weight, lam: Weight) -> bool:
-    return (mu - lam).is_integral()
-
-
 # -- translated sets ---------------------------------------------------------
 
 
@@ -201,13 +186,26 @@ def _twisted_right(data: IntegralData, w2: WeylElem, mu2: Weight, fetch) -> _Sid
                  multiply(w2, w0), fetch)
 
 
+def _check_ps(data: IntegralData, w: WeylElem, mu: Weight, slot: str) -> None:
+    """The principal-series preconditions on one side's twist and weight."""
+    if not in_integral_group(w, data):
+        raise DomainError(f"w{slot} is not in the integral Weyl group of lambda")
+    if not (mu - data.weight).is_integral():
+        raise DomainError(
+            f"mu{slot} does not lie in lambda + (weight lattice); the module "
+            "vanishes for such parameters"
+        )
+
+
 def _ps_left(data: IntegralData, w1: WeylElem, mu1: Weight, fetch) -> _Side:
+    _check_ps(data, w1, mu1, "1")
     wl = data.longest_element
     return _side(data, multiply(wl, w1), wl.act(mu1),
                  multiply(inverse(w1), wl), fetch)
 
 
 def _ps_right(data: IntegralData, w2: WeylElem, mu2: Weight, fetch) -> _Side:
+    _check_ps(data, w2, mu2, "2")
     return _side(data, w2, mu2, inverse(w2), fetch, stabilized=data)
 
 
@@ -262,7 +260,7 @@ def hom_twisted_verma(
         "mu1": str(mu1),
         "w2": str(w2),
         "mu2": str(mu2),
-        "notes": [] if _congruent(mu1, mu2) else [
+        "notes": [] if (mu1 - mu2).is_integral() else [
             "weights differ by a non-integral weight (disjoint lattices)"
         ],
     })
@@ -287,21 +285,12 @@ def hom_principal_series(
     come from ``engine``, :data:`DEFAULT` if None.
     """
     rs = _common_system(w1, w2)
-    if not _is_dominant(rs, lam):
+    data = integral_data(rs, lam)
+    if not data.dominant:
         raise PreconditionError(
             "lambda is not dominant; use normalize_principal_series to move "
             "the parameters to an isomorphic dominant form first"
         )
-    data = integral_data(rs, lam)
-    for name, w in (("w1", w1), ("w2", w2)):
-        if not _in_integral_group(w, data):
-            raise DomainError(f"{name} is not in the integral Weyl group of lambda")
-    for name, mu in (("mu1", mu1), ("mu2", mu2)):
-        if not _congruent(mu, lam):
-            raise DomainError(
-                f"{name} does not lie in lambda + (weight lattice); the module "
-                "vanishes for such parameters"
-            )
     engine = DEFAULT if engine is None else engine
     left = engine.side(_ps_left, data, w1, mu1)
     right = engine.side(_ps_right, data, w2, mu2)

@@ -39,6 +39,8 @@ class IntegralData:
     which fixes the canonical reduced-word policy for subgroup elements.
     ``stabilizer_gens`` are the simple members pairing to zero with the
     weight; for a dominant weight their reflections generate the stabilizer.
+    ``dominant``: no integral positive root pairs negatively with the weight
+    (:meth:`~vermahom.rootsystem.RootSystem.is_dominant`).
     """
 
     rs: RootSystem = field(repr=False)
@@ -47,6 +49,7 @@ class IntegralData:
     simple_roots: tuple[Root, ...]
     longest_element: WeylElem
     stabilizer_gens: tuple[Root, ...]
+    dominant: bool
 
     def __hash__(self) -> int:
         # every other field is determined by these two; hashing only them
@@ -64,9 +67,8 @@ def integral_data(rs: RootSystem, lam: Weight) -> IntegralData:
     """Compute the integral subsystem data of ``lam``."""
     if len(lam.coords) != rs.rank:
         raise DomainError("weight rank does not match the root system")
-    pos = tuple(
-        b for b in rs.positive_roots if rs.pairing(b, lam).denominator == 1
-    )
+    pairs = {b: rs.pairing(b, lam) for b in rs.positive_roots}
+    pos = tuple(b for b, p in pairs.items() if p.denominator == 1)
     pos_set = {b.coords for b in pos}
     simples = tuple(sorted(
         p for p in pos
@@ -77,8 +79,9 @@ def integral_data(rs: RootSystem, lam: Weight) -> IntegralData:
         )
     ))
     longest = longest_element_over(rs, simples)
-    gens = tuple(b for b in simples if rs.pairing(b, lam) == 0)
-    return IntegralData(rs, lam, pos, simples, longest, gens)
+    gens = tuple(b for b in simples if pairs[b] == 0)
+    dominant = all(pairs[b] >= 0 for b in pos)
+    return IntegralData(rs, lam, pos, simples, longest, gens, dominant)
 
 
 def in_integral_group(w: WeylElem, data: IntegralData) -> bool:
@@ -108,10 +111,9 @@ def canonical_integral_word(w: WeylElem, data: IntegralData) -> tuple[Root, ...]
 
     Peels the first descent in the fixed ordering of ``data.simple_roots``
     from the left; deterministic, and downstream consumers are insensitive to
-    the choice (a tested invariant).
+    the choice (a tested invariant).  For a non-member the peel stops short of
+    the identity and raises :class:`DomainError` (see :func:`in_integral_group`).
     """
-    if not in_integral_group(w, data):
-        raise DomainError("element is not in the integral Weyl group of the weight")
     simples = data.simple_roots
     return tuple(simples[i] for i in reduced_word_over(w, simples))
 
@@ -142,7 +144,7 @@ def stabilizer_elements(
     reflections; otherwise it falls back to filtering the full group.  The
     two paths agree on dominant weights (cross-checked in the test suite).
     """
-    if data.rs.is_dominant(data.weight):
+    if data.dominant:
         return frozenset(group_closure(data.rs, data.stabilizer_gens, bound))
     return frozenset(
         w for w in enumerate_group(data.rs, bound) if w.act(data.weight) == data.weight

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -416,14 +417,21 @@ def check_oracle_agreement(
     ``mu1 == w0 mu2``.
     """
     rng = random.Random(seed)
-    coords = range(-radius, radius + 1)
-    box = [
-        Weight(tuple(Fraction(c) for c in t))
-        for t in itertools.product(coords, repeat=rs.rank)
-    ]
-    pairs = list(itertools.product(box, repeat=2))
-    if len(pairs) > max_exhaustive:
-        pairs = rng.sample(pairs, max_exhaustive)
+    side, rank = max(0, 2 * radius + 1), rs.rank  # a negative radius: no box
+    total = side ** (2 * rank)  # box pairs, indexed in itertools.product order
+    if total <= max_exhaustive:
+        picks = range(total)
+    elif total <= sys.maxsize:
+        picks = rng.sample(range(total), max_exhaustive)
+    else:  # too long for len(range): the draws sample makes for large sets
+        chosen: dict[int, None] = {}
+        while len(chosen) < max_exhaustive:
+            chosen.setdefault(rng.randrange(total))
+        picks = list(chosen)
+    pairs = []  # only the picked pairs are built, whatever the radius
+    for i in picks:
+        c = [Fraction(i // side ** k % side - radius) for k in range(2 * rank)][::-1]
+        pairs.append((Weight(tuple(c[:rank])), Weight(tuple(c[rank:]))))
     for _ in range(random_pairs):
         pairs.append((random_weight(rng, rs.rank), random_weight(rng, rs.rank)))
     e, w0 = identity(rs), longest_element(rs)

@@ -200,14 +200,29 @@ def test_rank_one_principal_series_examples():
 
 def test_principal_series_preconditions():
     rs = build_root_system("A2")
-    e = identity(rs)
-    with pytest.raises(PreconditionError, match="normalize_principal_series"):
-        hom_principal_series(-rs.rho, e, rs.rho, e, rs.rho)
+    e, s1 = identity(rs), simple_reflection(rs, 1)
     lam = rs.weight((F(1, 2), F(1, 2)))
-    with pytest.raises(DomainError, match="integral Weyl group"):
-        hom_principal_series(lam, simple_reflection(rs, 1), lam, e, lam)
-    with pytest.raises(DomainError, match="weight lattice"):
-        hom_principal_series(rs.rho, e, rs.weight((F(1, 2), 0)), e, rs.rho)
+    half = rs.weight((F(1, 2), 0))
+    engine = Engine()
+    # the right sides below reuse the memoized valid left side, so the
+    # slot-2 checks run alone
+    assert hom_principal_series(lam, e, lam, e, lam, engine).hom_nonzero
+    assert hom_principal_series(rs.rho, e, rs.rho, e, rs.rho, engine).hom_nonzero
+    invalid = [
+        (PreconditionError, "normalize_principal_series",
+         (-rs.rho, e, rs.rho, e, rs.rho)),
+        (DomainError, "^w1 is not in the integral Weyl group", (lam, s1, lam, e, lam)),
+        (DomainError, "^mu1 does not lie in lambda . .weight lattice",
+         (rs.rho, e, half, e, rs.rho)),
+        (DomainError, "^w2 is not in the integral Weyl group", (lam, e, lam, s1, lam)),
+        (DomainError, "^mu2 does not lie in lambda . .weight lattice",
+         (rs.rho, e, rs.rho, e, half)),
+    ]
+    for error, message, query in invalid:
+        for _ in range(2):  # the memo never stores a raise
+            with pytest.raises(error, match=message):
+                hom_principal_series(*query, engine=engine)
+    assert hom_principal_series(lam, e, lam, e, lam, engine).hom_nonzero
 
 
 def test_principal_series_reflexivity_sweep():

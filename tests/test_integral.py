@@ -196,6 +196,11 @@ def test_membership_matches_reflection_subgroup(name):
         subgroup = set(integral_group_elements(data))
         for w in enumerate_group(rs):
             assert in_integral_group(w, data) == (w in subgroup)
+            if w in subgroup:
+                canonical_integral_word(w, data)
+            else:
+                with pytest.raises(DomainError):
+                    canonical_integral_word(w, data)
 
 
 def test_stabilizer_examples():
@@ -212,9 +217,10 @@ def test_stabilizer_examples():
 def test_stabilizer_generation_coincidence(name):
     rs = build_root_system(name)
     for lam in small_lams(rs):
-        if not rs.is_dominant(lam):
-            continue
         data = integral_data(rs, lam)
+        assert data.dominant == rs.is_dominant(lam)
+        if not data.dominant:
+            continue
         generated = stabilizer_elements(data)  # closure path (lam dominant)
         filtered = {w for w in enumerate_group(rs) if w.act(lam) == lam}
         assert generated == filtered

@@ -1,4 +1,7 @@
 import dataclasses
+import itertools
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -139,6 +142,30 @@ def test_oracle_agreement_catches_a_criterion_wrong_only_at_w0(monkeypatch, twis
     assert not report.passed
     assert f"w1={bad[0]}" in report.counterexample
     assert f"w2={bad[1]}" in report.counterexample
+
+
+def test_oracle_agreement_samples_the_box_without_building_it(monkeypatch):
+    rs = build_root_system("A2")
+    seen = []
+    real = oracle.hom_twisted_verma
+
+    def record(w1, mu1, w2, mu2, engine=None):
+        if w1.is_identity and w2.is_identity:
+            seen.append((mu1, mu2))
+        return real(w1, mu1, w2, mu2, engine)
+
+    monkeypatch.setattr(oracle, "hom_twisted_verma", record)
+    check_oracle_agreement(rs, radius=2, max_exhaustive=50, random_pairs=0)
+    coords = [F(c) for c in range(-2, 3)]
+    box = [Weight(t) for t in itertools.product(coords, repeat=2)]
+    expected = random.Random(0).sample(list(itertools.product(box, repeat=2)), 50)
+    assert seen == expected
+    # (2 * 10**6 + 1)**4 pairs: only the sampled ones are ever built
+    start = time.perf_counter()
+    report = check_oracle_agreement(rs, radius=10**6, max_exhaustive=20,
+                                    random_pairs=0)
+    assert report.passed and report.cases == 60
+    assert time.perf_counter() - start < 10
 
 
 def test_reports_are_deterministic():
