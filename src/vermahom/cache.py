@@ -7,11 +7,12 @@ root systems are impossible.  An entry holds the members only: certificates
 follow from the word and the base weight, and are rebuilt when first read.
 A file with the wrong version or unreadable content is ignored with a
 warning and simply rewritten on save; entries that do not parse count as
-misses, and members that the word cannot reach make the first certificate
-read raise :class:`RuntimeError`.  Cache use never changes results:
-:meth:`AscentSetCache.ascent_set_word` recomputes on a miss with the ordinary
-code path, and a cache opened with ``verify`` recomputes every hit as well
-and compares.
+misses, and so do entries without their base weight (the empty subsequence
+is admissible, so the base is always a member).  Members that the word
+cannot reach make the first certificate read raise :class:`RuntimeError`.
+Cache use never changes results: :meth:`AscentSetCache.ascent_set_word`
+recomputes on a miss with the ordinary code path, and a cache opened with
+``verify`` recomputes every hit as well and compares.
 """
 
 from __future__ import annotations
@@ -87,6 +88,8 @@ class AscentSetCache:
             )
         except (KeyError, TypeError, ValueError):
             return None
+        if mu not in elements:
+            return None
         return AscentSet(rs, tuple(letters), mu, elements)
 
     def ascent_set_word(
@@ -132,12 +135,14 @@ class AscentSetCache:
             prefix=_FILENAME + ".", suffix=".tmp", dir=self.directory
         )
         try:
+            # one dumps() call runs json's C encoder; dump() to a file would
+            # encode chunk by chunk in Python, with the same bytes
+            text = json.dumps(
+                {"version": CACHE_VERSION, "entries": self.entries},
+                sort_keys=True,
+            )
             with open(fd, "w", encoding="utf-8") as fh:
-                json.dump(
-                    {"version": CACHE_VERSION, "entries": self.entries},
-                    fh,
-                    sort_keys=True,
-                )
+                fh.write(text)
             os.replace(tmp, self.path)
         except BaseException:
             os.unlink(tmp)

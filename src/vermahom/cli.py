@@ -7,7 +7,8 @@ summary), ``table`` (verdicts over a whole orbit/group sweep) and
 queries produce byte-identical stdout, with or without the persistent cache
 (cache statistics go to stderr).  A run with a cache decides through an
 :class:`~vermahom.criteria.Engine` of its own, which asks the cache once per
-distinct side.
+distinct side.  The argument parser is built once per process, on first
+use rather than at import, and every :func:`parse_query` reuses it.
 
 Exit codes: 0 decided/ok, 1 selfcheck counterexample or cache verification
 failure, 2 parse or precondition violation, 3 enumeration bound exceeded.
@@ -20,7 +21,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 from .aset import ascent_set_word
@@ -150,8 +151,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: built on first use, then reused."""
+    return _build_parser()
+
+
 def parse_query(argv: Sequence[str]) -> Query:
-    ns = _build_parser().parse_args(list(argv))
+    """Parse ``argv`` into a :class:`Query` of canonical text.  The parser
+    is built once per process, on first use."""
+    ns = _parser().parse_args(list(argv))
     command = ns.command
     kwargs: dict = {"command": command}
     if command != "selfcheck":

@@ -1,9 +1,11 @@
+import io
 import json
 import os
 import re
 
 import pytest
 
+from vermahom import cli
 from vermahom.aset import ascent_set_word, replay_certificate
 from vermahom.cache import CACHE_DIR_ENV, AscentSetCache
 from vermahom.cli import main, parse_query
@@ -485,3 +487,66 @@ def test_failed_cache_save_leaves_no_temporary_file(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         cache.save()
     assert os.listdir(tmp_path) == []
+
+
+def test_cache_entry_without_its_base_weight_is_a_miss(capsys, tmp_path):
+    # the empty subsequence is admissible, so every ascent set holds its
+    # base weight; an entry without it is recomputed and rewritten
+    argv = ["hom-verma", "A1", "e", "(-3)", "e", "(3)", "--format", "json"]
+    cache = ["--cache-dir", str(tmp_path)]
+    _, fresh, _ = run_cli(capsys, argv + ["--no-cache"])
+    run_cli(capsys, argv + cache)
+    path = tmp_path / "aset_cache.json"
+    whole = json.loads(path.read_text())
+    emptied = {key: {"elements": []} for key in whole["entries"]}
+    path.write_text(json.dumps({**whole, "entries": emptied}))
+    code, out, err = run_cli(capsys, argv + cache)
+    assert code == 0 and out == fresh
+    assert err == f"cache: 0 hits, {len(emptied)} misses\n"
+    assert json.loads(path.read_text()) == whole
+
+
+def test_shared_parser_matches_a_fresh_one(capsys, monkeypatch):
+    # one parser serves every call in the process; no call may leave state
+    # behind that a later one sees, errors and --help included
+    calls = [
+        ["hom-verma", "A2", "e", "(1,1)", "--format", "xml"],
+        ["hom-ps", "--help"],
+        ["hom-ps", "A2", "s1", "(1,1)", "s1", "(1,1)", "--lambda", "(-1,0)",
+         "--normalize", "--certificates", "--format", "json", "--no-cache"],
+        # without --normalize the same lambda is not dominant: exit 2
+        ["hom-ps", "A2", "s1", "(1,1)", "s1", "(1,1)", "--lambda", "(-1,0)"],
+        ["table", "A1", "--mu-orbit", "(1)", "--criterion", "principal-series",
+         "--lambda", "(1)", "--format", "json", "--no-cache"],
+        ["table", "A1", "--mu-orbit", "(1)"],
+        ["selfcheck", "--types", "A1", "--rank-bound", "2", "--grid-radius",
+         "1", "--seed", "3"],
+        ["selfcheck", "--types", "A1", "--grid-radius", "1"],
+        ["--help"],
+    ]
+    assert cli._parser() is cli._parser()
+    shared = [run_cli(capsys, argv) for argv in calls]
+    assert [code for code, _, _ in shared] == [2, 0, 0, 2, 0, 0, 0, 0, 0]
+    monkeypatch.setattr(cli, "_parser", cli._build_parser)
+    assert [run_cli(capsys, argv) for argv in calls] == shared
+    monkeypatch.undo()
+    assert cli._parser().format_help() == cli._build_parser().format_help()
+
+
+def test_cache_file_format_is_pinned(capsys, tmp_path):
+    # the file is json.dump of {"version", "entries"} with sorted keys and
+    # default separators; a faster encoder must keep these bytes
+    argv = ["table", "A2", "--mu-orbit", "(-1,0)", "--format", "tsv",
+            "--cache-dir", str(tmp_path)]
+    code, _, err = run_cli(capsys, argv)
+    misses = int(re.fullmatch(r"cache: \d+ hits, (\d+) misses\n", err)[1])
+    assert code == 0 and misses > 0
+    raw = (tmp_path / "aset_cache.json").read_bytes()
+    payload = json.loads(raw)
+    assert sorted(payload) == ["entries", "version"]
+    assert len(payload["entries"]) == misses
+    assert payload["version"] == "vermahom-aset-cache-2"
+    expected = io.StringIO()
+    json.dump({"version": payload["version"], "entries": payload["entries"]},
+              expected, sort_keys=True)
+    assert raw == expected.getvalue().encode("utf-8")
