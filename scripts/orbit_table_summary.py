@@ -14,6 +14,7 @@ from vermahom import (
     enumerate_group,
     hom_twisted_verma,
     length,
+    orbit,
     parse_weight,
 )
 
@@ -23,19 +24,20 @@ def main(argv):
     rs = build_root_system(name)
     mu0 = parse_weight(argv[1], rs.rank) if len(argv) > 1 else rs.rho
     group = enumerate_group(rs)
-    orbit = sorted({w.act(mu0) for w in group})
+    lengths = {w: length(w) for w in group}
+    mus = sorted(orbit(rs, {mu0}, rs.simple_roots))
     nonzero = Counter()
     total = Counter()
     for w1 in group:
         for w2 in group:
-            key = (length(w1), length(w2))
-            for m1 in orbit:
-                for m2 in orbit:
+            key = (lengths[w1], lengths[w2])
+            for m1 in mus:
+                for m2 in mus:
                     total[key] += 1
                     if hom_twisted_verma(w1, m1, w2, m2).hom_nonzero:
                         nonzero[key] += 1
-    rows = len(group) ** 2 * len(orbit) ** 2
-    print(f"{name}: |W| = {len(group)}, orbit of {mu0} has {len(orbit)} "
+    rows = len(group) ** 2 * len(mus) ** 2
+    print(f"{name}: |W| = {len(group)}, orbit of {mu0} has {len(mus)} "
           f"weights, {rows} verdicts")
     for key in sorted(total):
         print(f"  l(w1)={key[0]} l(w2)={key[1]}: "

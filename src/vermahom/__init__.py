@@ -62,6 +62,7 @@ from .weyl import (
     length,
     longest_element,
     multiply,
+    orbit,
     parse_word,
     reflection,
     simple_reflection,
@@ -104,6 +105,7 @@ __all__ = [
     "longest_element",
     "multiply",
     "normalize_principal_series",
+    "orbit",
     "parse_weight",
     "parse_word",
     "positive_root_count",

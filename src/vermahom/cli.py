@@ -50,6 +50,7 @@ from .weyl import (
     inverse,
     length,
     multiply,
+    orbit,
     parse_word,
 )
 
@@ -422,7 +423,7 @@ def _run_table(query: Query) -> int:
     if query.criterion == "twisted-verma":
         group = sorted(enumerate_group(rs),
                        key=lambda w: (length(w), canonical_reduced_word(w)))
-        orbit = sorted({w.act(mu0) for w in group})
+        mus = sorted(orbit(rs, {mu0}, rs.simple_roots))
         decide = hom_twisted_verma
     else:
         if query.lam is None:
@@ -434,14 +435,14 @@ def _run_table(query: Query) -> int:
             integral_group_elements(data),
             key=lambda w: (integral_length(w, data), w.matrix),
         )
-        orbit = sorted({w.act(mu0) for w in group})
-        for m in orbit:
+        mus = sorted(orbit(rs, {mu0}, data.simple_roots))
+        for m in mus:
             if not (m - lam).is_integral():
                 raise DomainError("orbit weight leaves lambda + weight lattice")
         decide = partial(hom_principal_series, lam)
     rows = [
         (w1, m1, w2, m2, decide(w1, m1, w2, m2, engine=engine))
-        for w1 in group for m1 in orbit for w2 in group for m2 in orbit
+        for w1 in group for m1 in mus for w2 in group for m2 in mus
     ]
     _close_cache(cache)
     if query.output_format == "json":

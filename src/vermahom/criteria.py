@@ -2,14 +2,14 @@
 modules and between principal series modules.
 
 Both criteria reduce to a finite intersection test: translate two ascent
-sets by explicit group elements (saturating one side by the weight
-stabilizer in the principal-series case) and intersect exactly.  A verdict
-carries the translated sets, a witness from the intersection when nonempty,
-and the derived statement that all higher extension groups vanish exactly
-when the Hom space does.  It keeps the two ascent sets it was decided from
-and builds the witness certificates from them the first time they are read,
-and the parameter echo likewise, so sweeps that only ask for the verdict
-pay for neither.
+sets by explicit group elements (closing one principal-series side under
+the reflections that generate the weight's stabilizer) and intersect
+exactly.  A verdict carries the translated sets, a witness from the
+intersection when nonempty, and the derived statement that all higher
+extension groups vanish exactly when the Hom space does.  It keeps the two
+ascent sets it was decided from and builds the witness certificates from
+them the first time they are read, and the parameter echo likewise, so
+sweeps that only ask for the verdict pay for neither.
 
 Every translated set comes from an :class:`Engine`: one bounded memo per
 (side, integral data, element, weight), with an optional persistent
@@ -37,7 +37,7 @@ from .integral import (
     stabilizer_elements,
 )
 from .rootsystem import RootSystem, Weight
-from .weyl import WeylElem, inverse, longest_element, multiply
+from .weyl import WeylElem, inverse, longest_element, multiply, orbit
 
 
 @dataclass
@@ -167,12 +167,14 @@ def _common_system(*elements: WeylElem) -> RootSystem:
 def _side(data: IntegralData, x: WeylElem, nu: Weight, translate: WeylElem,
           fetch, stabilized: Optional[IntegralData] = None) -> _Side:
     """The side over the ascent set of ``x`` at ``nu``; ``fetch`` as in
-    :func:`~vermahom.aset.ascent_set`."""
+    :func:`~vermahom.aset.ascent_set`.  A ``stabilized`` side is closed under
+    the reflections in ``stabilized.stabilizer_gens``, which generate the
+    stabilizer of a dominant weight (Steinberg; Humphreys, *Reflection Groups
+    and Coxeter Groups*, 1.12): its saturation, without building the group."""
     aset = ascent_set(x, nu, data, word_fn=fetch)
     elements = frozenset(translate.act(y) for y in aset.elements)
     if stabilized is not None:
-        elements = frozenset(u.act(y) for u in stabilizer_elements(stabilized)
-                             for y in elements)
+        elements = orbit(data.rs, elements, stabilized.stabilizer_gens)
     return _Side(elements, aset, translate, stabilized)
 
 

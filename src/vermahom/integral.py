@@ -15,7 +15,6 @@ from functools import lru_cache
 from .errors import DomainError
 from .rootsystem import Root, RootSystem, Weight
 from .weyl import (
-    DEFAULT_GROUP_BOUND,
     DEFAULT_WORD_LENGTH_BOUND,
     WeylElem,
     enumerate_group,
@@ -126,28 +125,23 @@ def all_integral_words(
     return frozenset(tuple(data.simple_roots[i] for i in word) for word in words)
 
 
-@lru_cache(maxsize=None)
-def integral_group_elements(
-    data: IntegralData, bound: int = DEFAULT_GROUP_BOUND
-) -> tuple[WeylElem, ...]:
+def integral_group_elements(data: IntegralData) -> tuple[WeylElem, ...]:
     """All elements of the integral Weyl group, by closure over its simples."""
-    return group_closure(data.rs, data.simple_roots, bound)
+    return group_closure(data.rs, data.simple_roots)
 
 
-@lru_cache(maxsize=None)
-def stabilizer_elements(
-    data: IntegralData, bound: int = DEFAULT_GROUP_BOUND
-) -> frozenset[WeylElem]:
-    """The subgroup fixing the weight.
+def stabilizer_elements(data: IntegralData) -> frozenset[WeylElem]:
+    """The subgroup fixing the weight, element by element, for certificates
+    that name one (saturating a set needs only ``stabilizer_gens``).
 
     For a dominant weight this is the closure of the zero-pairing simple
     reflections; otherwise it falls back to filtering the full group.  The
     two paths agree on dominant weights (cross-checked in the test suite).
     """
     if data.dominant:
-        return frozenset(group_closure(data.rs, data.stabilizer_gens, bound))
+        return frozenset(group_closure(data.rs, data.stabilizer_gens))
     return frozenset(
-        w for w in enumerate_group(data.rs, bound) if w.act(data.weight) == data.weight
+        w for w in enumerate_group(data.rs) if w.act(data.weight) == data.weight
     )
 
 

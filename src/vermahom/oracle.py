@@ -23,7 +23,6 @@ from .errors import DomainError
 from .integral import integral_data, integral_group_elements, stabilizer_elements
 from .rootsystem import Root, RootSystem, Weight, build_root_system
 from .weyl import (
-    DEFAULT_GROUP_BOUND,
     all_reduced_words,
     canonical_reduced_word,
     enumerate_group,
@@ -203,14 +202,13 @@ def check_word_independence(
     rs: RootSystem,
     weights: Optional[Sequence[Weight]] = None,
     aset_fn: Optional[AsetFn] = None,
-    bound: int = DEFAULT_GROUP_BOUND,
     max_length: int = 24,
 ) -> CheckReport:
     """Every reduced word of every element yields the same ascent set."""
     weights = tuple(weights) if weights is not None else default_weight_grid(rs)
     fn = aset_fn or ascent_set_word
     cases = 0
-    for w in enumerate_group(rs, bound):
+    for w in enumerate_group(rs):
         words = sorted(all_reduced_words(w, max_length))
         letter_words = [_letters(rs, word) for word in words]
         for mu in weights:
@@ -228,7 +226,6 @@ def check_concatenation(
     rs: RootSystem,
     weights: Optional[Sequence[Weight]] = None,
     aset_fn: Optional[AsetFn] = None,
-    bound: int = DEFAULT_GROUP_BOUND,
 ) -> CheckReport:
     """Splitting a word into two blocks satisfies the union identity.
 
@@ -240,7 +237,7 @@ def check_concatenation(
     weights = tuple(weights) if weights is not None else default_weight_grid(rs)
     fn = aset_fn or ascent_set_word
     cases = 0
-    for w in enumerate_group(rs, bound):
+    for w in enumerate_group(rs):
         letters = _letters(rs, canonical_reduced_word(w))
         for mu in weights:
             full = fn(rs, letters, mu).elements
@@ -279,7 +276,6 @@ def _integral_offsets(rs: RootSystem) -> list[Weight]:
 def check_invariances(
     rs: RootSystem,
     lams: Optional[Sequence[Weight]] = None,
-    bound: int = DEFAULT_GROUP_BOUND,
     stabilizer_budget: int = 60_000,
 ) -> CheckReport:
     """Criterion invariances: reflexivity, stabilizer invariance, and the
@@ -302,7 +298,7 @@ def check_invariances(
     for lam in lams:
         data = integral_data(rs, lam)
         shifted = [lam + off for off in offsets]
-        for w in integral_group_elements(data, bound):
+        for w in integral_group_elements(data):
             for mu in shifted:
                 cases += 1
                 if not hom_principal_series(lam, w, mu, w, mu).hom_nonzero:
@@ -322,7 +318,7 @@ def check_invariances(
         stab = sorted(stabilizer_elements(data), key=lambda w: w.matrix)
         if len(stab) == 1:
             continue
-        group = integral_group_elements(data, bound)
+        group = integral_group_elements(data)
         total = (len(group) * len(mus) * len(stab)) ** 2
         stride = max(1, -(-total // stabilizer_budget))
         shifted = [lam + mu for mu in mus]
@@ -473,8 +469,7 @@ def run_selfcheck(
         rs = build_root_system(name)
         reports.append(check_word_independence(rs))
         reports.append(check_concatenation(rs))
-        if rs.rank <= 2:
-            reports.append(check_invariances(rs))
+        reports.append(check_invariances(rs))
         reports.append(check_oracle_agreement(
             rs, radius=grid_radius, max_exhaustive=400, random_pairs=100,
             seed=seed,

@@ -5,12 +5,13 @@ coordinates; equality and hashing go through the matrix, so words are
 non-canonical witnesses.
 
 The Coxeter-group algorithms (reduced word, all reduced words, longest
-element, group closure) take an ordered tuple of simple roots, so the same
-code serves the full Weyl group (``rs.simple_roots``, Bourbaki order) and the
-integral Weyl group of a weight (``IntegralData.simple_roots``).  Words over
-such a tuple are 0-based positions into it.  The canonical reduced word
-policy is first-descent-first: repeatedly peel, from the left, the first
-simple root in the given order that is a left descent.
+element, group closure, weight orbit) take an ordered tuple of simple roots,
+so the same code serves the full Weyl group (``rs.simple_roots``, Bourbaki
+order) and the integral Weyl group of a weight
+(``IntegralData.simple_roots``).  Words over such a tuple are 0-based
+positions into it.  The canonical reduced word policy is
+first-descent-first: repeatedly peel, from the left, the first simple root
+in the given order that is a left descent.
 """
 
 from __future__ import annotations
@@ -113,7 +114,6 @@ def inverse(u: WeylElem) -> WeylElem:
     return WeylElem(rs, tuple(rs._coroot[u.act_on_root(a)] for a in rs.simple_roots))
 
 
-@lru_cache(maxsize=None)
 def length(u: WeylElem) -> int:
     """Number of positive roots sent to negative roots."""
     return sum(1 for beta in u.rs.positive_roots if not u.act_on_root(beta).is_positive)
@@ -123,18 +123,16 @@ def reduced_word_over(u: WeylElem, simples: tuple[Root, ...]) -> tuple[int, ...]
     """Reduced word of ``u`` over ``simples``: peel the first left descent
     in the order of ``simples`` repeatedly."""
     word = []
-    cur, cur_inv = u, inverse(u)
+    cur_inv = inverse(u)  # inverse of the unpeeled rest
     while True:
         for i, beta in enumerate(simples):
             if not cur_inv.act_on_root(beta).is_positive:
-                s = reflection(u.rs, beta)
                 word.append(i)
-                cur = multiply(s, cur)
-                cur_inv = multiply(cur_inv, s)
+                cur_inv = multiply(cur_inv, reflection(u.rs, beta))
                 break
         else:
             break
-    if not cur.is_identity:
+    if not cur_inv.is_identity:
         raise DomainError("element is not a product of the simple reflections")
     return tuple(word)
 
@@ -182,30 +180,37 @@ def longest_element_over(rs: RootSystem, simples: tuple[Root, ...]) -> WeylElem:
             return u
 
 
-def group_closure(
-    rs: RootSystem, simples: tuple[Root, ...], bound: int
-) -> tuple[WeylElem, ...]:
+def _closure(start, moves, what: str) -> list:
+    """``start`` and every image under repeated ``moves``, breadth-first in
+    discovery order and duplicate-free.  Raises :class:`EnumerationBound`
+    past ``DEFAULT_GROUP_BOUND`` items."""
+    out = list(dict.fromkeys(start))
+    seen = set(out)
+    for x in out:  # the loop also visits what it appends: a FIFO queue
+        for move in moves:
+            y = move(x)
+            if y not in seen:
+                if len(seen) >= DEFAULT_GROUP_BOUND:
+                    raise EnumerationBound(
+                        f"{what} exceeds bound {DEFAULT_GROUP_BOUND}")
+                seen.add(y)
+                out.append(y)
+    return out
+
+
+def group_closure(rs: RootSystem, simples: tuple[Root, ...]) -> tuple[WeylElem, ...]:
     """Every element generated by the reflections in ``simples``,
-    breadth-first from the identity by right multiplication; duplicate-free."""
+    breadth-first from the identity by right multiplication."""
     gens = [reflection(rs, beta) for beta in simples]
-    seen = {identity(rs)}
-    out = [identity(rs)]
-    frontier = [identity(rs)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                ws = multiply(w, s)
-                if ws not in seen:
-                    if len(seen) >= bound:
-                        raise EnumerationBound(
-                            f"group closure exceeds bound {bound}"
-                        )
-                    seen.add(ws)
-                    out.append(ws)
-                    nxt.append(ws)
-        frontier = nxt
-    return tuple(out)
+    return tuple(_closure([identity(rs)], [lambda w, s=s: multiply(w, s)
+                                           for s in gens], "group closure"))
+
+
+def orbit(rs: RootSystem, weights, roots: tuple[Root, ...]) -> frozenset[Weight]:
+    """The closure of ``weights`` under the reflections in ``roots``: the
+    union of their orbits under the group those reflections generate."""
+    return frozenset(_closure(weights, [lambda mu, b=b: rs.reflect(b, mu)
+                                        for b in roots], "weight orbit"))
 
 
 @lru_cache(maxsize=None)
@@ -238,14 +243,14 @@ def longest_element(rs: RootSystem) -> WeylElem:
 
 
 @lru_cache(maxsize=None)
-def enumerate_group(
-    rs: RootSystem, bound: int = DEFAULT_GROUP_BOUND
-) -> tuple[WeylElem, ...]:
+def enumerate_group(rs: RootSystem) -> tuple[WeylElem, ...]:
     """All group elements, breadth-first from the identity; duplicate-free."""
     order = weyl_group_order(rs.spec)
-    if order > bound:
-        raise EnumerationBound(f"group of order {order} exceeds bound {bound}")
-    return group_closure(rs, rs.simple_roots, bound)
+    if order > DEFAULT_GROUP_BOUND:
+        raise EnumerationBound(
+            f"group of order {order} exceeds bound {DEFAULT_GROUP_BOUND}"
+        )
+    return group_closure(rs, rs.simple_roots)
 
 
 def parse_word(text: str, rank: int) -> tuple[int, ...]:

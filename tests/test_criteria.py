@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from vermahom.aset import ascent_set
 from vermahom.cache import AscentSetCache
 from vermahom.criteria import (
     Engine,
@@ -32,9 +33,11 @@ from vermahom.weyl import (
     inverse,
     longest_element,
     multiply,
+    orbit,
     simple_reflection,
 )
 
+from test_integral import small_lams
 from test_rootsystem import weights_for
 
 
@@ -186,6 +189,20 @@ def test_f4_antidominant_into_dominant_within_budget():
     assert elapsed < 10.0, f"F4 query took {elapsed:.2f}s >= 10s"
 
 
+def test_b4_singular_principal_series_within_budget():
+    # lambda = 0: the stabilizer is the whole group of 384 elements, so
+    # saturating elementwise would take |W| actions per weight
+    rs = build_root_system("B4")
+    zero = Weight(tuple(F(0) for _ in range(rs.rank)))
+    started = time.perf_counter()
+    verdict = hom_principal_series(
+        zero, identity(rs), -rs.rho, longest_element(rs), -rs.rho
+    )
+    elapsed = time.perf_counter() - started
+    assert verdict.hom_nonzero and len(verdict.right_set) == 384
+    assert elapsed < 5.0, f"B4 query took {elapsed:.2f}s >= 5s"
+
+
 # -- principal series --------------------------------------------------------
 
 
@@ -269,6 +286,31 @@ def test_stabilizer_invariance_wall_weight():
                 assert hom_principal_series(
                     lam, multiply(w1, u), mu1, multiply(w2, v), mu2
                 ).hom_nonzero == base
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3"])
+def test_stabilizer_closure_equals_elementwise_saturation(name):
+    # the right side is closed under the stabilizer's generating reflections;
+    # the oracle applies every stabilizer element to every translated member
+    rs = build_root_system(name)
+    for lam in small_lams(rs):
+        data = integral_data(rs, lam)
+        group = integral_group_elements(data)
+        # the orbit closure is the image under every group element
+        assert orbit(rs, {lam}, data.simple_roots) == {w.act(lam) for w in group}
+        assert orbit(rs, {lam}, rs.simple_roots) == {
+            w.act(lam) for w in enumerate_group(rs)
+        }
+        if not data.dominant:
+            continue
+        stab = stabilizer_elements(data)
+        for w2 in group:
+            for mu2 in (lam, lam - rs.rho):
+                translated = [inverse(w2).act(y)
+                              for y in ascent_set(w2, mu2, data).elements]
+                saturated = {u.act(y) for u in stab for y in translated}
+                verdict = hom_principal_series(lam, w2, mu2, w2, mu2)
+                assert verdict.right_set == saturated, (str(lam), str(w2), mu2)
 
 
 def _replayed_witness(rs, cert, translate):
