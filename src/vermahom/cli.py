@@ -3,7 +3,10 @@
 Subcommands: ``aset`` (ascent-set of a word at a weight), ``hom-verma`` and
 ``hom-ps`` (the two Hom-existence queries), ``integral`` (integral subsystem
 summary), ``table`` (verdicts over a whole orbit/group sweep) and
-``selfcheck`` (the oracle sweeps).  Output is deterministic: identical
+``selfcheck`` (the oracle sweeps).  :func:`parse_query` parses and validates
+each argument once, into the library objects the subcommands read.  Each
+subcommand builds one JSON payload and one list of rows, and one emitter
+prints them as JSON, TSV or human lines.  Output is deterministic: identical
 queries produce byte-identical stdout, with or without the persistent cache
 (cache statistics go to stderr).  A run with a cache decides through an
 :class:`~vermahom.criteria.Engine` of its own, which asks the cache once per
@@ -20,9 +23,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .aset import ascent_set_word
 from .cache import CACHE_DIR_ENV, AscentSetCache
@@ -55,29 +57,6 @@ from .weyl import (
 )
 
 FORMATS = ("human", "json", "tsv")
-
-
-@dataclass(frozen=True)
-class Query:
-    """A parsed CLI invocation, with words and weights in canonical text."""
-
-    command: str
-    root_system: str = ""
-    words: tuple[str, ...] = ()
-    weights: tuple[str, ...] = ()
-    lam: Optional[str] = None
-    criterion: str = "twisted-verma"
-    mu_orbit: Optional[str] = None
-    certificates: bool = False
-    normalize: bool = False
-    output_format: str = "human"
-    no_cache: bool = False
-    cache_dir: Optional[str] = None
-    verify_cache: bool = False
-    rank_bound: int = 3
-    grid_radius: int = 2
-    seed: int = 0
-    types: tuple[str, ...] = ()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -158,125 +137,54 @@ def _parser() -> argparse.ArgumentParser:
     return _build_parser()
 
 
-def parse_query(argv: Sequence[str]) -> Query:
-    """Parse ``argv`` into a :class:`Query` of canonical text.  The parser
-    is built once per process, on first use."""
+def parse_query(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse ``argv`` with the process's one parser, then replace each text
+    argument by the library object it names, parsed and validated once: the
+    root system, twists, weights, ``selfcheck`` types, and for ``aset`` the
+    word's indices, its ``letters`` and their ``context``.  Lambda is parsed
+    first, then words, then weights, so the first malformed argument in that
+    order is the one reported."""
     ns = _parser().parse_args(list(argv))
-    command = ns.command
-    kwargs: dict = {"command": command}
-    if command != "selfcheck":
-        spec = RootSystemSpec.parse(ns.root_system)
-        rs = build_root_system(spec)
-        kwargs["root_system"] = str(spec)
-        kwargs["output_format"] = ns.format
-    if command in ("aset", "hom-verma", "hom-ps", "table"):
-        kwargs["no_cache"] = ns.no_cache
-        kwargs["cache_dir"] = ns.cache_dir
-        kwargs["verify_cache"] = ns.verify_cache
-    lam = getattr(ns, "lam", None)
-    if lam is not None:
-        kwargs["lam"] = str(parse_weight(lam, rs.rank))
-    if command == "aset":
-        if lam is not None:
-            data = integral_data(rs, parse_weight(lam, rs.rank))
-            word_rank = len(data.simple_roots)
-        else:
-            word_rank = rs.rank
-        word = parse_word(ns.word, word_rank)
-        kwargs["words"] = (format_word(word),)
-        kwargs["weights"] = (str(parse_weight(ns.mu, rs.rank)),)
-        kwargs["certificates"] = ns.certificates
-    elif command in ("hom-verma", "hom-ps"):
-        kwargs["words"] = (
-            format_word(parse_word(ns.w1, rs.rank)),
-            format_word(parse_word(ns.w2, rs.rank)),
-        )
-        kwargs["weights"] = (
-            str(parse_weight(ns.mu1, rs.rank)),
-            str(parse_weight(ns.mu2, rs.rank)),
-        )
-        kwargs["certificates"] = ns.certificates
-        if command == "hom-ps":
-            kwargs["normalize"] = ns.normalize
-    elif command == "table":
-        kwargs["mu_orbit"] = str(parse_weight(ns.mu_orbit, rs.rank))
-        kwargs["criterion"] = ns.criterion
-    elif command == "selfcheck":
-        if ns.types:
-            types = tuple(
-                str(RootSystemSpec.parse(t)) for t in ns.types.split(",")
-            )
-        else:
-            types = ()
-        kwargs["types"] = types
-        kwargs["rank_bound"] = ns.rank_bound
-        kwargs["grid_radius"] = ns.grid_radius
-        kwargs["seed"] = ns.seed
-    return Query(**kwargs)
+    if ns.command == "selfcheck":
+        ns.types = ([RootSystemSpec.parse(t) for t in ns.types.split(",")]
+                    if ns.types else None)
+        return ns
+    ns.root_system = rs = build_root_system(ns.root_system)
+    if getattr(ns, "lam", None) is not None:
+        ns.lam = parse_weight(ns.lam, rs.rank)
+    if ns.command == "aset":
+        ns.context = None if ns.lam is None else integral_data(rs, ns.lam)
+        simples = (rs if ns.context is None else ns.context).simple_roots
+        ns.word = parse_word(ns.word, len(simples))
+        ns.letters = tuple(simples[i - 1] for i in ns.word)
+        ns.mu = parse_weight(ns.mu, rs.rank)
+    elif ns.command in ("hom-verma", "hom-ps"):
+        ns.w1, ns.w2 = (from_word(rs, parse_word(w, rs.rank))
+                        for w in (ns.w1, ns.w2))
+        ns.mu1, ns.mu2 = (parse_weight(mu, rs.rank) for mu in (ns.mu1, ns.mu2))
+    elif ns.command == "table":
+        ns.mu_orbit = parse_weight(ns.mu_orbit, rs.rank)
+    return ns
 
 
-# -- output helpers ---------------------------------------------------------
-
-
-def _emit_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _tsv(rows: list[list[str]]) -> str:
-    return "\n".join("\t".join(row) for row in rows)
-
-
-def _verdict_output(verdict, fmt: str, certificates: bool = False) -> str:
-    d = verdict.to_dict()
-    certs = verdict.certificates_dict() if certificates else None
+def _emit(fmt: str, payload: Callable[[], dict], rows: list[list[str]],
+          human: Callable[[], Iterable[str]]) -> None:
+    """Print one subcommand's result: ``payload()`` as JSON, ``rows`` (header
+    first) as TSV, or the lines ``human()`` makes from them."""
     if fmt == "json":
-        if certificates:
-            d["witness_certificates"] = certs
-        return _emit_json(d)
-    params = d["parameters"]
-    if fmt == "tsv":
-        header = ["kind", "root_system", "lambda", "w1", "mu1", "w2", "mu2",
-                  "hom_nonzero", "ext_all_vanish", "witness",
-                  "left_set", "right_set", "notes"]
-        row = [params["kind"], params["root_system"],
-               params.get("lambda", ""), params["w1"], params["mu1"],
-               params["w2"], params["mu2"], str(d["hom_nonzero"]).lower(),
-               str(d["ext_all_vanish"]).lower(), d["witness"] or "",
-               ";".join(d["left_set"]), ";".join(d["right_set"]),
-               ";".join(params["notes"])]
-        if certificates:
-            header.append("witness_certificates")
-            row.append("" if certs is None else json.dumps(certs, sort_keys=True))
-        return _tsv([header, row])
-    lines = [f"kind: {params['kind']}", f"root system: {params['root_system']}"]
-    if "lambda" in params:
-        lines.append(f"lambda: {params['lambda']}")
-    lines.append(f"w1: {params['w1']}   mu1: {params['mu1']}")
-    lines.append(f"w2: {params['w2']}   mu2: {params['mu2']}")
-    lines.append(f"hom_nonzero: {str(d['hom_nonzero']).lower()}")
-    lines.append(f"ext_all_vanish: {str(d['ext_all_vanish']).lower()}")
-    lines.append(f"witness: {d['witness'] or '-'}")
-    lines.append("left set:  " + " ".join(d["left_set"]))
-    lines.append("right set: " + " ".join(d["right_set"]))
-    for note in params["notes"]:
-        lines.append(f"note: {note}")
-    if certs is not None:
-        for side in ("left", "right"):
-            cert = certs[side]
-            positions = ",".join(str(p) for p in cert["positions"]) or "-"
-            lines.append(
-                f"{side} witness chain: base {cert['base']} positions {positions}"
-            )
-    return "\n".join(lines)
+        lines = [json.dumps(payload(), indent=2, sort_keys=True)]
+    else:
+        lines = map("\t".join, rows) if fmt == "tsv" else human()
+    sys.stdout.write("".join(line + "\n" for line in lines))
 
 
-def _open_cache(query: Query) -> Optional[AscentSetCache]:
+def _open_cache(ns: argparse.Namespace) -> Optional[AscentSetCache]:
     """The invocation's persistent cache, if any; load warnings go to stderr."""
-    directory = None if query.no_cache else (
-        query.cache_dir or os.environ.get(CACHE_DIR_ENV))
+    directory = None if ns.no_cache else (
+        ns.cache_dir or os.environ.get(CACHE_DIR_ENV))
     if not directory:
         return None
-    cache = AscentSetCache(directory, verify=query.verify_cache)
+    cache = AscentSetCache(directory, verify=ns.verify_cache)
     if cache.load_warning:
         print(f"warning: {cache.load_warning}", file=sys.stderr)
     return cache
@@ -289,81 +197,94 @@ def _close_cache(cache: Optional[AscentSetCache]) -> None:
         print(f"cache: {cache.hits} hits, {cache.misses} misses", file=sys.stderr)
 
 
-def _run_aset(query: Query) -> int:
-    rs = build_root_system(query.root_system)
-    mu = parse_weight(query.weights[0], rs.rank)
-    if query.lam is not None:
-        data = integral_data(rs, parse_weight(query.lam, rs.rank))
-        simples = data.simple_roots
-        context = data
-    else:
-        simples = rs.simple_roots
-        context = None
-    indices = parse_word(query.words[0], len(simples))
-    letters = tuple(simples[i - 1] for i in indices)
-    cache = _open_cache(query)
+def _run_aset(ns: argparse.Namespace) -> int:
+    rs = ns.root_system
+    cache = _open_cache(ns)
     fetch = ascent_set_word if cache is None else cache.ascent_set_word
-    result = fetch(rs, letters, mu, context)
+    result = fetch(rs, ns.letters, ns.mu, ns.context)
     _close_cache(cache)
-    elements = sorted(result.elements)
     betas = result.inversion
-    if query.output_format == "json":
-        payload = {
-            "root_system": str(rs.spec),
-            "word": query.words[0],
-            "mu": str(mu),
-            "elements": [str(w) for w in elements],
-        }
-        if query.lam is not None:
-            payload["lambda"] = query.lam
-        if query.certificates:
-            payload["certificates"] = {
-                str(w): {
-                    "positions": list(cert),
-                    "roots": [list(betas[p - 1].coords) for p in cert],
-                }
-                for w, cert in result.certificates.items()
-            }
-        print(_emit_json(payload))
-        return 0
-    rows = []
-    if query.output_format == "tsv":
-        header = ["element"]
-        if query.certificates:
-            header += ["positions", "roots"]
-        rows.append(header)
-    for w in elements:
+    rows = [["element", "positions", "roots"] if ns.certificates else ["element"]]
+    for w in sorted(result.elements):
         row = [str(w)]
-        if query.certificates:
+        if ns.certificates:
             cert = result.certificates[w]
             row.append(",".join(str(p) for p in cert))
             row.append(";".join(str(betas[p - 1]) for p in cert))
         rows.append(row)
-    if query.output_format == "tsv":
-        print(_tsv(rows))
-    else:
-        for row in rows:
-            print("  ".join(row))
+
+    def payload() -> dict:
+        out = {"root_system": str(rs.spec), "word": format_word(ns.word),
+               "mu": str(ns.mu), "elements": [row[0] for row in rows[1:]]}
+        if ns.lam is not None:
+            out["lambda"] = str(ns.lam)
+        if ns.certificates:
+            out["certificates"] = {
+                str(w): {"positions": list(cert),
+                         "roots": [list(betas[p - 1].coords) for p in cert]}
+                for w, cert in result.certificates.items()
+            }
+        return out
+
+    _emit(ns.format, payload, rows, lambda: map("  ".join, rows[1:]))
     return 0
 
 
-def _run_hom(query: Query) -> int:
-    rs = build_root_system(query.root_system)
-    w1 = from_word(rs, parse_word(query.words[0], rs.rank))
-    w2 = from_word(rs, parse_word(query.words[1], rs.rank))
-    mu1 = parse_weight(query.weights[0], rs.rank)
-    mu2 = parse_weight(query.weights[1], rs.rank)
-    cache = _open_cache(query)
+def _run_hom(ns: argparse.Namespace) -> int:
+    w1, mu1, w2, mu2 = ns.w1, ns.mu1, ns.w2, ns.mu2
+    cache = _open_cache(ns)
     engine = DEFAULT if cache is None else Engine(cache)
-    if query.command == "hom-verma":
+    if ns.command == "hom-verma":
         verdict = hom_twisted_verma(w1, mu1, w2, mu2, engine=engine)
     else:
-        lam = parse_weight(query.lam, rs.rank)
-        if query.normalize:
-            lam, (w1, mu1), (w2, mu2) = _normalize_query(rs, lam, w1, mu1, w2, mu2)
+        lam = ns.lam
+        if ns.normalize:
+            lam, (w1, mu1), (w2, mu2) = _normalize_query(
+                ns.root_system, lam, w1, mu1, w2, mu2)
         verdict = hom_principal_series(lam, w1, mu1, w2, mu2, engine=engine)
     _close_cache(cache)
-    print(_verdict_output(verdict, query.output_format, query.certificates))
+    d = verdict.to_dict()
+    params = d["parameters"]
+    certs = verdict.certificates_dict() if ns.certificates else None
+    # the TSV header and row, in column order; only "lambda" may be absent
+    cells = {key: params.get(key, "") for key in
+             ("kind", "root_system", "lambda", "w1", "mu1", "w2", "mu2")}
+    cells.update(
+        hom_nonzero=str(d["hom_nonzero"]).lower(),
+        ext_all_vanish=str(d["ext_all_vanish"]).lower(),
+        witness=d["witness"] or "",
+        left_set=";".join(d["left_set"]),
+        right_set=";".join(d["right_set"]),
+        notes=";".join(params["notes"]),
+    )
+    if ns.certificates:
+        d["witness_certificates"] = certs
+        cells["witness_certificates"] = (
+            "" if certs is None else json.dumps(certs, sort_keys=True))
+
+    def human() -> list[str]:
+        lines = [f"kind: {cells['kind']}", f"root system: {cells['root_system']}"]
+        if cells["lambda"]:
+            lines.append(f"lambda: {cells['lambda']}")
+        lines += [
+            f"w1: {cells['w1']}   mu1: {cells['mu1']}",
+            f"w2: {cells['w2']}   mu2: {cells['mu2']}",
+            f"hom_nonzero: {cells['hom_nonzero']}",
+            f"ext_all_vanish: {cells['ext_all_vanish']}",
+            f"witness: {cells['witness'] or '-'}",
+            "left set:  " + " ".join(d["left_set"]),
+            "right set: " + " ".join(d["right_set"]),
+        ]
+        lines += [f"note: {note}" for note in params["notes"]]
+        if certs is not None:
+            for side in ("left", "right"):
+                cert = certs[side]
+                positions = ",".join(str(p) for p in cert["positions"]) or "-"
+                lines.append(f"{side} witness chain: base {cert['base']} "
+                             f"positions {positions}")
+        return lines
+
+    _emit(ns.format, lambda: d, [list(cells), list(cells.values())], human)
     return 0
 
 
@@ -385,9 +306,8 @@ def _normalize_query(rs, lam, w1, mu1, w2, mu2):
     return dom, sides[0], sides[1]
 
 
-def _run_integral(query: Query) -> int:
-    rs = build_root_system(query.root_system)
-    lam = parse_weight(query.lam, rs.rank)
+def _run_integral(ns: argparse.Namespace) -> int:
+    rs, lam = ns.root_system, ns.lam
     data = integral_data(rs, lam)
     try:
         order = len(integral_group_elements(data))
@@ -403,108 +323,90 @@ def _run_integral(query: Query) -> int:
         "longest_integral_length": integral_length(data.longest_element, data),
         "group_order": order,
     }
-    if query.output_format == "json":
-        print(_emit_json(payload))
-    elif query.output_format == "tsv":
-        rows = [[key, json.dumps(value) if isinstance(value, list) else str(value)]
-                for key, value in sorted(payload.items())]
-        print(_tsv(rows))
-    else:
-        for key, value in sorted(payload.items()):
-            print(f"{key}: {value}")
+    # integer lists print the same through json.dumps and str()
+    rows = [[key, json.dumps(value) if isinstance(value, list) else str(value)]
+            for key, value in sorted(payload.items())]
+    _emit(ns.format, lambda: payload, rows,
+          lambda: (f"{key}: {value}" for key, value in rows))
     return 0
 
 
-def _run_table(query: Query) -> int:
-    rs = build_root_system(query.root_system)
-    mu0 = parse_weight(query.mu_orbit, rs.rank)
-    cache = _open_cache(query)
+def _run_table(ns: argparse.Namespace) -> int:
+    rs, mu0 = ns.root_system, ns.mu_orbit
+    cache = _open_cache(ns)
     engine = DEFAULT if cache is None else Engine(cache)
-    if query.criterion == "twisted-verma":
+    if ns.criterion == "twisted-verma":
         group = sorted(enumerate_group(rs),
                        key=lambda w: (length(w), canonical_reduced_word(w)))
         mus = sorted(orbit(rs, {mu0}, rs.simple_roots))
         decide = hom_twisted_verma
     else:
-        if query.lam is None:
+        if ns.lam is None:
             raise PreconditionError("table --criterion principal-series "
                                     "requires --lambda")
-        lam = parse_weight(query.lam, rs.rank)
-        data = integral_data(rs, lam)
+        data = integral_data(rs, ns.lam)
         group = sorted(
             integral_group_elements(data),
             key=lambda w: (integral_length(w, data), w.matrix),
         )
         mus = sorted(orbit(rs, {mu0}, data.simple_roots))
         for m in mus:
-            if not (m - lam).is_integral():
+            if not (m - ns.lam).is_integral():
                 raise DomainError("orbit weight leaves lambda + weight lattice")
-        decide = partial(hom_principal_series, lam)
-    rows = [
-        (w1, m1, w2, m2, decide(w1, m1, w2, m2, engine=engine))
-        for w1 in group for m1 in mus for w2 in group for m2 in mus
-    ]
+        decide = partial(hom_principal_series, ns.lam)
+    # each group element and orbit weight is formatted once, not once a row
+    slots = [(w, m, str(w), str(m)) for w in group for m in mus]
+    rows = [["w1", "mu1", "w2", "mu2", "hom_nonzero", "witness"]]
+    for w1, m1, *names1 in slots:
+        for w2, m2, *names2 in slots:
+            v = decide(w1, m1, w2, m2, engine=engine)
+            rows.append([*names1, *names2, str(v.hom_nonzero).lower(),
+                         "" if v.witness is None else str(v.witness)])
     _close_cache(cache)
-    if query.output_format == "json":
-        payload = {
-            "kind": query.criterion,
+
+    def payload() -> dict:
+        return {
+            "kind": ns.criterion,
             "root_system": str(rs.spec),
-            "row_count": len(rows),
+            "row_count": len(rows) - 1,
             "rows": [
-                {
-                    "w1": str(w1), "mu1": str(m1),
-                    "w2": str(w2), "mu2": str(m2),
-                    "hom_nonzero": v.hom_nonzero,
-                    "witness": None if v.witness is None else str(v.witness),
-                }
-                for w1, m1, w2, m2, v in rows
+                {"w1": w1, "mu1": m1, "w2": w2, "mu2": m2,
+                 "hom_nonzero": nonzero == "true", "witness": witness or None}
+                for w1, m1, w2, m2, nonzero, witness in rows[1:]
             ],
         }
-        print(_emit_json(payload))
-        return 0
-    table = [["w1", "mu1", "w2", "mu2", "hom_nonzero", "witness"]]
-    for w1, m1, w2, m2, v in rows:
-        table.append([
-            str(w1), str(m1), str(w2), str(m2),
-            str(v.hom_nonzero).lower(),
-            "" if v.witness is None else str(v.witness),
-        ])
-    if query.output_format == "tsv":
-        print(_tsv(table))
-    else:
-        print(f"{len(rows)} rows")
-        for row in table[1:]:
-            print("  ".join(cell or "-" for cell in row))
+
+    def human() -> Iterable[str]:
+        yield f"{len(rows) - 1} rows"
+        for row in rows[1:]:
+            yield "  ".join(cell or "-" for cell in row)
+
+    _emit(ns.format, payload, rows, human)
     return 0
 
 
-def _run_selfcheck(query: Query) -> int:
-    reports = run_selfcheck(
-        types=list(query.types) or None,
-        rank_bound=query.rank_bound,
-        grid_radius=query.grid_radius,
-        seed=query.seed,
-    )
-    failed = False
+def _run_selfcheck(ns: argparse.Namespace) -> int:
+    reports = run_selfcheck(types=ns.types, rank_bound=ns.rank_bound,
+                            grid_radius=ns.grid_radius, seed=ns.seed)
     for report in reports:
         print(report.line())
-        failed = failed or not report.passed
-    return 1 if failed else 0
+    return 0 if all(report.passed for report in reports) else 1
 
 
-def run(query: Query) -> int:
-    """Execute a parsed query; deterministic output per query."""
-    if query.command == "aset":
-        return _run_aset(query)
-    if query.command in ("hom-verma", "hom-ps"):
-        return _run_hom(query)
-    if query.command == "integral":
-        return _run_integral(query)
-    if query.command == "table":
-        return _run_table(query)
-    if query.command == "selfcheck":
-        return _run_selfcheck(query)
-    raise ValidationError(f"unknown command {query.command!r}")
+_COMMANDS = {
+    "aset": _run_aset,
+    "hom-verma": _run_hom,
+    "hom-ps": _run_hom,
+    "integral": _run_integral,
+    "table": _run_table,
+    "selfcheck": _run_selfcheck,
+}
+
+
+def run(query: argparse.Namespace) -> int:
+    """Execute a query from :func:`parse_query`; deterministic output per
+    query."""
+    return _COMMANDS[query.command](query)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

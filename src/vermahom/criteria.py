@@ -122,6 +122,12 @@ class _Side:
     translate: WeylElem
     stabilized: Optional[IntegralData] = None
 
+    @cached_property
+    def stabilizer(self) -> list[WeylElem]:
+        """The stabilizer of a saturated side's weight in matrix order: built
+        on the side's first certificate read, then kept with the side."""
+        return sorted(stabilizer_elements(self.stabilized), key=lambda g: g.matrix)
+
 
 def _certificate(side: _Side, witness: Weight) -> Optional[dict]:
     """The lex-minimal certificate of the member of ``side.aset`` that maps
@@ -134,7 +140,7 @@ def _certificate(side: _Side, witness: Weight) -> Optional[dict]:
 
     if side.stabilized is None:
         return certify(back.act(witness))
-    for u in sorted(stabilizer_elements(side.stabilized), key=lambda g: g.matrix):
+    for u in side.stabilizer:
         y = back.act(inverse(u).act(witness))
         if y in aset.elements:
             return {**certify(y), "stabilizer": str(u)}

@@ -15,13 +15,13 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from .aset import ascent_set_word, inversion_sequence
 from .criteria import hom_principal_series, hom_twisted_verma
 from .errors import DomainError
 from .integral import integral_data, integral_group_elements, stabilizer_elements
-from .rootsystem import Root, RootSystem, Weight, build_root_system
+from .rootsystem import Root, RootSystem, RootSystemSpec, Weight, build_root_system
 from .weyl import (
     all_reduced_words,
     canonical_reduced_word,
@@ -34,6 +34,13 @@ from .weyl import (
     reflection,
     simple_reflection,
 )
+
+# check_word_independence enumerates the reduced words of elements up to this
+# length, and raises EnumerationBound past it
+WORD_INDEPENDENCE_LENGTH = 24
+# check_invariances strides its (w1, w2) pairs when the stabilizer-invariance
+# sweep would exceed this many cases
+STABILIZER_BUDGET = 60_000
 
 
 @dataclass(frozen=True)
@@ -202,14 +209,13 @@ def check_word_independence(
     rs: RootSystem,
     weights: Optional[Sequence[Weight]] = None,
     aset_fn: Optional[AsetFn] = None,
-    max_length: int = 24,
 ) -> CheckReport:
     """Every reduced word of every element yields the same ascent set."""
     weights = tuple(weights) if weights is not None else default_weight_grid(rs)
     fn = aset_fn or ascent_set_word
     cases = 0
     for w in enumerate_group(rs):
-        words = sorted(all_reduced_words(w, max_length))
+        words = sorted(all_reduced_words(w, WORD_INDEPENDENCE_LENGTH))
         letter_words = [_letters(rs, word) for word in words]
         for mu in weights:
             sets = {fn(rs, lw, mu).elements for lw in letter_words}
@@ -276,7 +282,6 @@ def _integral_offsets(rs: RootSystem) -> list[Weight]:
 def check_invariances(
     rs: RootSystem,
     lams: Optional[Sequence[Weight]] = None,
-    stabilizer_budget: int = 60_000,
 ) -> CheckReport:
     """Criterion invariances: reflexivity, stabilizer invariance, and the
     ascent-exchange invariance of the twisted-Verma criterion."""
@@ -320,7 +325,7 @@ def check_invariances(
             continue
         group = integral_group_elements(data)
         total = (len(group) * len(mus) * len(stab)) ** 2
-        stride = max(1, -(-total // stabilizer_budget))
+        stride = max(1, -(-total // STABILIZER_BUDGET))
         shifted = [lam + mu for mu in mus]
         times_stab = {w: [(u, multiply(w, u)) for u in stab] for w in group}
         for idx, (w1, w2) in enumerate(itertools.product(group, repeat=2)):
@@ -455,7 +460,7 @@ def check_oracle_agreement(
 
 
 def run_selfcheck(
-    types: Optional[Sequence[str]] = None,
+    types: Optional[Sequence[Union[str, RootSystemSpec]]] = None,
     rank_bound: int = 3,
     grid_radius: int = 2,
     seed: int = 0,

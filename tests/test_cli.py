@@ -9,11 +9,11 @@ from vermahom import cli
 from vermahom.aset import ascent_set_word, replay_certificate
 from vermahom.cache import CACHE_DIR_ENV, AscentSetCache
 from vermahom.cli import main, parse_query
+from vermahom.errors import ValidationError
 from vermahom.integral import integral_data
 from vermahom.rootsystem import Root, RootSystemSpec, build_root_system, parse_weight
 from vermahom.weyl import (
     enumerate_group,
-    format_word,
     from_word,
     inverse,
     longest_element,
@@ -33,26 +33,154 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv", [
-    ["aset", "A2", "121", "(-1,-1)", "--certificates", "--format", "json"],
-    ["hom-verma", "A2", "e", "(1,1)", "s1 s2", "(1,1)", "--format", "tsv"],
-    ["hom-ps", "A1", "e", "(1)", "e", "(-1)", "--lambda", "(1)", "--format", "json"],
-    ["integral", "A2", "(1/2,1/2)"],
-    ["table", "A1", "--mu-orbit", "(1)", "--w-all", "--format", "tsv"],
-    ["selfcheck", "--types", "A1", "--rank-bound", "2", "--grid-radius", "1"],
+def _word(rs, text):
+    return from_word(rs, parse_word(text, rs.rank))
+
+
+@pytest.mark.parametrize("argv, slot, bad", [
+    pytest.param(["aset", "A2", "121", "(-1,-1)", "--certificates",
+                  "--format", "json"], 2, "124", id="aset"),
+    pytest.param(["hom-verma", "A2", "e", "(1,1)", "s1 s2", "(1,1)",
+                  "--format", "tsv"], 5, "(1,banana)", id="hom-verma"),
+    pytest.param(["hom-ps", "A1", "e", "(1)", "e", "(-1)", "--lambda", "(1)",
+                  "--format", "json"], 4, "s2", id="hom-ps"),
+    pytest.param(["integral", "A2", "(1/2,1/2)"], 2, "(1/2)", id="integral"),
+    pytest.param(["table", "A1", "--mu-orbit", "(1)", "--w-all",
+                  "--format", "tsv"], 3, "(x)", id="table"),
+    pytest.param(["selfcheck", "--types", "A1", "--rank-bound", "2",
+                  "--grid-radius", "1"], 2, "A1,Q1", id="selfcheck"),
 ])
-def test_query_roundtrip(argv):
-    # a parsed query holds canonical text, which parses back to itself
-    query = parse_query(argv)
-    if query.root_system:
-        rank = build_root_system(query.root_system).rank
-        for word in query.words:
-            assert format_word(parse_word(word, rank)) == word
-        for text in (*query.weights, query.lam, query.mu_orbit):
-            if text is not None:
-                assert str(parse_weight(text, rank)) == text
-    for name in query.types:
-        assert str(RootSystemSpec.parse(name)) == name
+def test_parse_query_yields_library_objects(capsys, monkeypatch, argv, slot, bad):
+    # parse_query turns each argument into what the library's own parsers
+    # make of the same text, so run() has nothing left to parse
+    ns = parse_query(argv)
+    if ns.command == "selfcheck":
+        assert ns.types == [RootSystemSpec.parse("A1")]
+    else:
+        rs = build_root_system(argv[1])
+        assert ns.root_system is rs
+        lam = argv[argv.index("--lambda") + 1] if "--lambda" in argv else None
+        if ns.command == "integral":
+            lam = argv[2]
+        assert getattr(ns, "lam", None) == (
+            None if lam is None else parse_weight(lam, rs.rank))
+    if ns.command == "aset":
+        word = parse_word(argv[2], rs.rank)
+        assert (ns.word, ns.context) == (word, None)
+        assert ns.letters == tuple(rs.simple_roots[i - 1] for i in word)
+        assert ns.mu == parse_weight(argv[3], rs.rank)
+    elif ns.command in ("hom-verma", "hom-ps"):
+        assert (ns.w1, ns.mu1, ns.w2, ns.mu2) == (
+            _word(rs, argv[2]), parse_weight(argv[3], rs.rank),
+            _word(rs, argv[4]), parse_weight(argv[5], rs.rank))
+    elif ns.command == "table":
+        assert ns.mu_orbit == parse_weight(argv[3], rs.rank)
+    # a malformed word, weight or type fails inside parse_query: exit 2
+    broken = argv[:slot] + [bad] + argv[slot + 1:]
+    with pytest.raises(ValidationError):
+        parse_query(broken)
+    monkeypatch.setattr(cli, "run", None)
+    code, out, err = run_cli(capsys, broken)
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+# (argv, human stdout, TSV stdout with "|" for each tab)
+PINNED_OUTPUT = [
+    pytest.param(
+        ["aset", "A2", "121", "(-1,-1)", "--certificates"],
+        "(-2,1)  3  (0,1)\n"
+        "(-1,-1)    \n"
+        "(-1,2)  1,3  (1,0);(0,1)\n"
+        "(1,-2)  1  (1,0)\n"
+        "(1,1)  1,2,3  (1,0);(1,1);(0,1)\n"
+        "(2,-1)  1,2  (1,0);(1,1)\n",
+        """\
+element|positions|roots
+(-2,1)|3|(0,1)
+(-1,-1)||
+(-1,2)|1,3|(1,0);(0,1)
+(1,-2)|1|(1,0)
+(1,1)|1,2,3|(1,0);(1,1);(0,1)
+(2,-1)|1,2|(1,0);(1,1)
+""", id="aset-certificates"),
+    pytest.param(["integral", "A2", "(1/2,1/2)"], """\
+group_order: 2
+lambda: (1/2,1/2)
+longest_element: s1 s2 s1
+longest_integral_length: 1
+positive_roots: [[1, 1]]
+root_system: A2
+simple_system: [[1, 1]]
+stabilizer_generators: []
+""", """\
+group_order|2
+lambda|(1/2,1/2)
+longest_element|s1 s2 s1
+longest_integral_length|1
+positive_roots|[[1, 1]]
+root_system|A2
+simple_system|[[1, 1]]
+stabilizer_generators|[]
+""", id="integral"),
+    pytest.param(["table", "A1", "--mu-orbit", "(1)", "--no-cache"], """\
+16 rows
+e  (-1)  e  (-1)  true  (-1)
+e  (-1)  e  (1)  true  (-1)
+e  (-1)  s1  (-1)  false  -
+e  (-1)  s1  (1)  true  (-1)
+e  (1)  e  (-1)  false  -
+e  (1)  e  (1)  true  (1)
+e  (1)  s1  (-1)  true  (1)
+e  (1)  s1  (1)  false  -
+s1  (-1)  e  (-1)  true  (-1)
+s1  (-1)  e  (1)  true  (-1)
+s1  (-1)  s1  (-1)  true  (1)
+s1  (-1)  s1  (1)  true  (-1)
+s1  (1)  e  (-1)  true  (-1)
+s1  (1)  e  (1)  true  (-1)
+s1  (1)  s1  (-1)  false  -
+s1  (1)  s1  (1)  true  (-1)
+""", """\
+w1|mu1|w2|mu2|hom_nonzero|witness
+e|(-1)|e|(-1)|true|(-1)
+e|(-1)|e|(1)|true|(-1)
+e|(-1)|s1|(-1)|false|
+e|(-1)|s1|(1)|true|(-1)
+e|(1)|e|(-1)|false|
+e|(1)|e|(1)|true|(1)
+e|(1)|s1|(-1)|true|(1)
+e|(1)|s1|(1)|false|
+s1|(-1)|e|(-1)|true|(-1)
+s1|(-1)|e|(1)|true|(-1)
+s1|(-1)|s1|(-1)|true|(1)
+s1|(-1)|s1|(1)|true|(-1)
+s1|(1)|e|(-1)|true|(-1)
+s1|(1)|e|(1)|true|(-1)
+s1|(1)|s1|(-1)|false|
+s1|(1)|s1|(1)|true|(-1)
+""", id="table-twisted-verma"),
+    pytest.param(["table", "A1", "--mu-orbit", "(0)", "--criterion",
+                  "principal-series", "--lambda", "(0)", "--no-cache"], """\
+4 rows
+e  (0)  e  (0)  true  (0)
+e  (0)  s1  (0)  true  (0)
+s1  (0)  e  (0)  true  (0)
+s1  (0)  s1  (0)  true  (0)
+""", """\
+w1|mu1|w2|mu2|hom_nonzero|witness
+e|(0)|e|(0)|true|(0)
+e|(0)|s1|(0)|true|(0)
+s1|(0)|e|(0)|true|(0)
+s1|(0)|s1|(0)|true|(0)
+""", id="table-principal-series"),
+]
+
+
+@pytest.mark.parametrize("argv, human, tsv", PINNED_OUTPUT)
+def test_human_and_tsv_bytes_are_pinned(capsys, argv, human, tsv):
+    assert run_cli(capsys, argv + ["--format", "human"]) == (0, human, "")
+    assert run_cli(capsys, argv + ["--format", "tsv"]) == (
+        0, tsv.replace("|", "\t"), "")
 
 
 def test_hom_verma_reflexive(capsys):
@@ -243,6 +371,10 @@ def test_exit_codes(capsys):
     # parse failure
     code, _, _ = run_cli(capsys, ["hom-verma", "A2", "e", "(1,banana)", "e", "(1,1)"])
     assert code == 2
+    # both words are parsed before either weight, so the word is reported
+    code, _, err = run_cli(
+        capsys, ["hom-verma", "A2", "e", "(1,banana)", "s9", "(1,1)"])
+    assert code == 2 and err == "error: word 's9' uses index 9 outside 1..2\n"
     # enumeration bound exceeded
     code, _, err = run_cli(
         capsys, ["table", "E8", "--mu-orbit", "(1,1,1,1,1,1,1,1)", "--w-all"]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from vermahom import criteria
 from vermahom.aset import ascent_set
 from vermahom.cache import AscentSetCache
 from vermahom.criteria import (
@@ -367,6 +368,30 @@ def test_principal_series_witness_certificates_replay():
                 rs, verdict.right_certificate, multiply(u, inverse(w2))
             )
             assert right == verdict.witness
+
+
+
+def test_shared_right_side_builds_its_stabilizer_once(monkeypatch):
+    # certificates of verdicts that share one saturated right side try the
+    # side's stabilizer elements in matrix order; the side builds that sorted
+    # group on its first certificate read and keeps it for every later read
+    calls = []
+    build = criteria.stabilizer_elements
+    monkeypatch.setattr(criteria, "stabilizer_elements",
+                        lambda data: calls.append(data) or build(data))
+    rs = build_root_system("B2")
+    lam, engine = rs.weight((0, 0)), Engine()
+    verdicts = [
+        hom_principal_series(lam, w1, rs.weight(mu1), identity(rs),
+                             rs.weight((1, 1)), engine=engine)
+        for w1 in enumerate_group(rs)
+        for mu1 in [(-1, -1), (0, 0), (1, 1), (-2, 1), (1, -2)]
+    ]
+    nonzero = [v for v in verdicts if v.hom_nonzero]
+    assert len(nonzero) == 24 and not calls
+    for verdict in nonzero:
+        assert verdict.certificates_dict()["right"]["stabilizer"]
+    assert calls == [integral_data(rs, lam)]
 
 
 # -- normalization -----------------------------------------------------------
