@@ -86,8 +86,8 @@ class AscentSetCache:
             elements = frozenset(
                 parse_weight(text, rs.rank) for text in raw["elements"]
             )
-        except (KeyError, TypeError, ValueError):
-            return None
+        except (AttributeError, KeyError, TypeError, ValueError):
+            return None  # AttributeError: a member that is not a string
         if mu not in elements:
             return None
         return AscentSet(rs, tuple(letters), mu, elements)

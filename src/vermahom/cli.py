@@ -349,10 +349,10 @@ def _run_table(ns: argparse.Namespace) -> int:
             integral_group_elements(data),
             key=lambda w: (integral_length(w, data), w.matrix),
         )
+        # integral reflections keep lambda + P, so mu0 speaks for its orbit
+        if not (mu0 - ns.lam).is_integral():
+            raise DomainError("orbit weight leaves lambda + weight lattice")
         mus = sorted(orbit(rs, {mu0}, data.simple_roots))
-        for m in mus:
-            if not (m - ns.lam).is_integral():
-                raise DomainError("orbit weight leaves lambda + weight lattice")
         decide = partial(hom_principal_series, ns.lam)
     # each group element and orbit weight is formatted once, not once a row
     slots = [(w, m, str(w), str(m)) for w in group for m in mus]

@@ -1,15 +1,19 @@
 """Decision procedures for nonzero homomorphisms between twisted Verma
 modules and between principal series modules.
 
-Both criteria reduce to a finite intersection test: translate two ascent
-sets by explicit group elements (closing one principal-series side under
-the reflections that generate the weight's stabilizer) and intersect
-exactly.  A verdict carries the translated sets, a witness from the
-intersection when nonempty, and the derived statement that all higher
-extension groups vanish exactly when the Hom space does.  It keeps the two
-ascent sets it was decided from and builds the witness certificates from
-them the first time they are read, and the parameter echo likewise, so
-sweeps that only ask for the verdict pay for neither.
+Both criteria reduce to a finite intersection test over two constructions on
+:class:`~vermahom.integral.IntegralData`: the *lower* side of ``x`` at ``mu``
+(its ascent set moved by ``x^{-1}``) and the *upper* side (the same at
+``wl x`` and ``wl mu``, ``wl`` the longest integral element).  The principal
+series criterion intersects an upper side with a lower side closed under the
+reflections that generate the weight's stabilizer; the twisted Verma
+criterion is the same construction over the full system
+``integral_data(rs, rho)``, sides swapped.  A verdict carries the translated
+sets, a witness from the intersection when nonempty, and the derived
+statement that all higher extension groups vanish exactly when the Hom
+space does.  It keeps its two sides and the query, and builds the witness
+certificates and the parameter echo from them the first time they are
+read, so sweeps that only ask for the verdict pay for neither.
 
 Every translated set comes from an :class:`Engine`: one bounded memo per
 (side, integral data, element, weight), with an optional persistent
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 from .aset import AscentSet, ascent_set
 from .cache import AscentSetCache
@@ -37,7 +41,8 @@ from .integral import (
     stabilizer_elements,
 )
 from .rootsystem import RootSystem, Weight
-from .weyl import WeylElem, inverse, longest_element, multiply, orbit
+from .weyl import WeylElem, inverse, multiply, orbit
+from .weyl import longest_element  # noqa: F401  (bench/tracer.py wraps it here)
 
 
 @dataclass
@@ -53,8 +58,9 @@ class HomVerdict:
 
     ``left_certificate`` and ``right_certificate`` replay the witness on each
     side (``None`` for a zero Hom space).  They are built on first read, from
-    the ascent sets the verdict was decided from, and then kept; so is
-    ``parameters``, the echo of the query.
+    the two sides the verdict was decided from, and then kept; so is
+    ``parameters``, the echo of the query ``(lam, w1, mu1, w2, mu2)``, where
+    ``lam`` is None for the twisted Verma criterion.
     """
 
     hom_nonzero: bool
@@ -62,18 +68,26 @@ class HomVerdict:
     witness: Optional[Weight]
     left_set: frozenset[Weight]
     right_set: frozenset[Weight]
-    _describe: Callable[[], dict] = field(repr=False, compare=False)
-    _certify: Optional[Callable[[], tuple]] = field(
-        default=None, repr=False, compare=False
-    )
+    _sides: tuple[_Side, _Side] = field(repr=False, compare=False)
+    _query: tuple = field(repr=False, compare=False)
 
     @cached_property
     def parameters(self) -> dict:
-        return self._describe()
+        lam, w1, mu1, w2, mu2 = self._query
+        twisted = lam is None
+        return {
+            "kind": "twisted-verma" if twisted else "principal-series",
+            "root_system": str(w1.rs.spec),
+            **({} if twisted else {"lambda": str(lam)}),
+            "w1": str(w1), "mu1": str(mu1), "w2": str(w2), "mu2": str(mu2),
+            "notes": [] if not twisted or (mu1 - mu2).is_integral() else [
+                "weights differ by a non-integral weight (disjoint lattices)"],
+        }
 
     @cached_property
     def _certificates(self) -> tuple:
-        return (None, None) if self._certify is None else self._certify()
+        return tuple(None if self.witness is None else
+                     _certificate(side, self.witness) for side in self._sides)
 
     @property
     def left_certificate(self) -> Optional[dict]:
@@ -114,12 +128,13 @@ class HomVerdict:
 
 @dataclass(frozen=True)
 class _Side:
-    """One translated set: ``translate`` applied to the members of ``aset``,
-    then saturated by the stabilizer of ``stabilized.weight`` if given."""
+    """One translated set: the members of ``aset`` (the ascent set of
+    ``twist``) moved by ``twist^{-1}``, then saturated by the stabilizer of
+    ``stabilized.weight`` if given."""
 
     elements: frozenset[Weight]
     aset: AscentSet
-    translate: WeylElem
+    twist: WeylElem
     stabilized: Optional[IntegralData] = None
 
     @cached_property
@@ -132,31 +147,26 @@ class _Side:
 def _certificate(side: _Side, witness: Weight) -> Optional[dict]:
     """The lex-minimal certificate of the member of ``side.aset`` that maps
     to ``witness``; saturated sides try stabilizer elements in matrix order."""
-    aset, back = side.aset, inverse(side.translate)
+    aset = side.aset
 
     def certify(x: Weight) -> dict:
         return {"base": aset.base, "word": aset.word,
                 "positions": aset.certificates[x]}
 
     if side.stabilized is None:
-        return certify(back.act(witness))
+        return certify(side.twist.act(witness))
     for u in side.stabilizer:
-        y = back.act(inverse(u).act(witness))
+        y = side.twist.act(inverse(u).act(witness))
         if y in aset.elements:
             return {**certify(y), "stabilizer": str(u)}
     return None
 
 
-def _verdict(left: _Side, right: _Side, describe) -> HomVerdict:
+def _verdict(left: _Side, right: _Side, query: tuple) -> HomVerdict:
     intersection = left.elements & right.elements
-    if not intersection:
-        return HomVerdict(False, True, None, left.elements, right.elements,
-                          describe)
-    witness = min(intersection)
-    return HomVerdict(
-        True, False, witness, left.elements, right.elements, describe,
-        lambda: (_certificate(left, witness), _certificate(right, witness)),
-    )
+    witness = min(intersection) if intersection else None
+    return HomVerdict(witness is not None, witness is None, witness,
+                      left.elements, right.elements, (left, right), query)
 
 
 def _common_system(*elements: WeylElem) -> RootSystem:
@@ -170,28 +180,19 @@ def _common_system(*elements: WeylElem) -> RootSystem:
 # -- translated sets ---------------------------------------------------------
 
 
-def _side(data: IntegralData, x: WeylElem, nu: Weight, translate: WeylElem,
-          fetch, stabilized: Optional[IntegralData] = None) -> _Side:
-    """The side over the ascent set of ``x`` at ``nu``; ``fetch`` as in
-    :func:`~vermahom.aset.ascent_set`.  A ``stabilized`` side is closed under
-    the reflections in ``stabilized.stabilizer_gens``, which generate the
-    stabilizer of a dominant weight (Steinberg; Humphreys, *Reflection Groups
-    and Coxeter Groups*, 1.12): its saturation, without building the group."""
-    aset = ascent_set(x, nu, data, word_fn=fetch)
-    elements = frozenset(translate.act(y) for y in aset.elements)
-    if stabilized is not None:
-        elements = orbit(data.rs, elements, stabilized.stabilizer_gens)
-    return _Side(elements, aset, translate, stabilized)
+def _lower(data: IntegralData, x: WeylElem, mu: Weight, fetch) -> _Side:
+    """The ascent set of ``x`` at ``mu``, moved by ``x^{-1}``; ``fetch`` as
+    in :func:`~vermahom.aset.ascent_set`."""
+    aset = ascent_set(x, mu, data, word_fn=fetch)
+    return _Side(frozenset(map(inverse(x).act, aset.elements)), aset, x)
 
 
-def _twisted_left(data: IntegralData, w1: WeylElem, mu1: Weight, fetch) -> _Side:
-    return _side(data, inverse(w1), mu1, w1, fetch)
-
-
-def _twisted_right(data: IntegralData, w2: WeylElem, mu2: Weight, fetch) -> _Side:
-    w0 = longest_element(data.rs)
-    return _side(data, multiply(w0, inverse(w2)), w0.act(mu2),
-                 multiply(w2, w0), fetch)
+def _upper(data: IntegralData, x: WeylElem, mu: Weight, fetch) -> _Side:
+    """The ascent set of ``wl x`` at ``wl mu``, moved by ``x^{-1} wl``, with
+    ``wl`` the longest integral element: since ``wl`` is an involution, the
+    lower side of ``wl x`` at ``wl mu``."""
+    wl = data.longest_element
+    return _lower(data, multiply(wl, x), wl.act(mu), fetch)
 
 
 def _check_ps(data: IntegralData, w: WeylElem, mu: Weight, slot: str) -> None:
@@ -207,19 +208,24 @@ def _check_ps(data: IntegralData, w: WeylElem, mu: Weight, slot: str) -> None:
 
 def _ps_left(data: IntegralData, w1: WeylElem, mu1: Weight, fetch) -> _Side:
     _check_ps(data, w1, mu1, "1")
-    wl = data.longest_element
-    return _side(data, multiply(wl, w1), wl.act(mu1),
-                 multiply(inverse(w1), wl), fetch)
+    return _upper(data, w1, mu1, fetch)
 
 
 def _ps_right(data: IntegralData, w2: WeylElem, mu2: Weight, fetch) -> _Side:
+    """The lower side of ``w2`` at ``mu2``, closed under the reflections in
+    ``data.stabilizer_gens``, which generate the stabilizer of a dominant
+    weight (Steinberg; Humphreys, *Reflection Groups and Coxeter Groups*,
+    1.12): its saturation, without building the group."""
     _check_ps(data, w2, mu2, "2")
-    return _side(data, w2, mu2, inverse(w2), fetch, stabilized=data)
+    side = _lower(data, w2, mu2, fetch)
+    return _Side(orbit(data.rs, side.elements, data.stabilizer_gens),
+                 side.aset, side.twist, data)
 
 
 class Engine:
     """The one way the criteria reach a translated set: ``side(builder,
-    data, w, mu)`` memoizes the four builders above in one bounded memo, and
+    data, x, mu)`` memoizes the builders above (``_lower``, ``_upper`` and
+    the two principal-series sides made from them) in one bounded memo, and
     on a miss their ascent sets come from ``cache`` when there is one.  The
     library uses the cacheless, process-wide :data:`DEFAULT`; a CLI run with
     a cache builds its own.
@@ -231,7 +237,7 @@ class Engine:
         # the memo must not reach the engine: the cycle would keep a dropped
         # engine and its sets alive until the cyclic collector runs
         self.side = lru_cache(maxsize=262144)(
-            lambda builder, data, w, mu: builder(data, w, mu, fetch)
+            lambda builder, data, x, mu: builder(data, x, mu, fetch)
         )
 
 
@@ -248,30 +254,22 @@ def hom_twisted_verma(
     """Does a nonzero map exist from the (w1, mu1) to the (w2, mu2) twisted
     Verma module?
 
-    The test intersects the ``w1``-translate of the ascent set of
-    ``w1^{-1}`` at ``mu1`` with the ``w2 w0``-translate of the ascent set of
-    ``w0 w2^{-1}`` at ``w0 mu2``, where ``w0`` is the longest element.
-    Ascent words run over the full simple system.  If the two weights are
-    not congruent modulo the weight lattice, the query is still answered
-    from the formula but the mismatch is flagged in the parameter echo.
-    Sets come from ``engine``, :data:`DEFAULT` if None.
+    This is the principal-series construction over the full system
+    ``integral_data(rs, rho)``, sides swapped: the left side is the lower side
+    of ``w1^{-1}`` at ``mu1`` (the ascent set of ``w1^{-1}`` moved by ``w1``),
+    the right side the upper side of ``w2^{-1}`` at ``mu2`` (the ascent set of
+    ``w0 w2^{-1}`` at ``w0 mu2``, moved by ``w2 w0``), where ``w0`` is the
+    longest element.  If the two weights are not congruent modulo the weight
+    lattice, the query is still answered from the formula but the mismatch is
+    flagged in the parameter echo.  Sets come from ``engine``, :data:`DEFAULT`
+    if None.
     """
     rs = _common_system(w1, w2)
     engine = DEFAULT if engine is None else engine
     data = integral_data(rs, rs.rho)  # full system: every root is integral
-    left = engine.side(_twisted_left, data, w1, mu1)
-    right = engine.side(_twisted_right, data, w2, mu2)
-    return _verdict(left, right, lambda: {
-        "kind": "twisted-verma",
-        "root_system": str(rs.spec),
-        "w1": str(w1),
-        "mu1": str(mu1),
-        "w2": str(w2),
-        "mu2": str(mu2),
-        "notes": [] if (mu1 - mu2).is_integral() else [
-            "weights differ by a non-integral weight (disjoint lattices)"
-        ],
-    })
+    left = engine.side(_lower, data, inverse(w1), mu1)
+    right = engine.side(_upper, data, inverse(w2), mu2)
+    return _verdict(left, right, (None, w1, mu1, w2, mu2))
 
 
 def hom_principal_series(
@@ -286,11 +284,11 @@ def hom_principal_series(
     (w1 lam, mu1) and (w2 lam, mu2)?
 
     Requires ``lam`` dominant, ``w1, w2`` in its integral Weyl group and both
-    weights congruent to ``lam`` modulo the weight lattice; the left ascent
-    set is taken at the longest-integral-element translate of ``mu1`` and the
-    right side is saturated by the stabilizer of ``lam``.  Words run over the
-    integral simple system with integral-length-reduced expressions.  Sets
-    come from ``engine``, :data:`DEFAULT` if None.
+    weights congruent to ``lam`` modulo the weight lattice; the left side is
+    the upper side of ``w1`` at ``mu1``, the right side the lower side of
+    ``w2`` at ``mu2`` saturated by the stabilizer of ``lam``.  Words run over
+    the integral simple system with integral-length-reduced expressions.
+    Sets come from ``engine``, :data:`DEFAULT` if None.
     """
     rs = _common_system(w1, w2)
     data = integral_data(rs, lam)
@@ -302,16 +300,7 @@ def hom_principal_series(
     engine = DEFAULT if engine is None else engine
     left = engine.side(_ps_left, data, w1, mu1)
     right = engine.side(_ps_right, data, w2, mu2)
-    return _verdict(left, right, lambda: {
-        "kind": "principal-series",
-        "root_system": str(rs.spec),
-        "lambda": str(lam),
-        "w1": str(w1),
-        "mu1": str(mu1),
-        "w2": str(w2),
-        "mu2": str(mu2),
-        "notes": [],
-    })
+    return _verdict(left, right, (lam, w1, mu1, w2, mu2))
 
 
 def normalize_principal_series(

@@ -23,6 +23,7 @@ from .weyl import (
     inverse,
     longest_element_over,
     multiply,
+    peel_descents,
     reduced_word_over,
     reduced_words_over,
     reflection,
@@ -153,27 +154,17 @@ def reduce_parameters(w: WeylElem, lam: Weight) -> WeylElem:
     integral subsystem, equals the ``w'``-preimage of the integral positive
     part.  For ``w`` already in the subgroup this is ``w`` itself; for an
     empty integral subsystem it is the identity.
+
+    The descent peel of ``w^{-1}`` over the integral simples leaves
+    ``w^{-1} = v r`` with ``v`` carrying the integral positive part onto the
+    induced system, so ``w'`` is ``v^{-1}``: the peel reversed.
     """
     rs = w.rs
-    data = integral_data(rs, lam)
-    target = frozenset(data.positive_roots)
-    if not target:
-        return identity(rs)
-    rootset = data.root_set()
-    w_inv = inverse(w)
-    current = {
-        b for b in (w_inv.act_on_root(a) for a in rs.positive_roots) if b in rootset
-    }
+    simples = integral_data(rs, lam).simple_roots
+    word, _ = peel_descents(inverse(w), simples)
     u = identity(rs)
-    while current != target:
-        for beta in data.simple_roots:
-            if -beta in current:
-                s = reflection(rs, beta)
-                current = {s.act_on_root(x) for x in current}
-                u = multiply(s, u)
-                break
-        else:
-            raise DomainError("induced set is not a positive system")
+    for i in word:
+        u = multiply(reflection(rs, simples[i]), u)
     return u
 
 

@@ -206,12 +206,10 @@ AsetFn = Callable[..., object]
 
 
 def check_word_independence(
-    rs: RootSystem,
-    weights: Optional[Sequence[Weight]] = None,
-    aset_fn: Optional[AsetFn] = None,
+    rs: RootSystem, aset_fn: Optional[AsetFn] = None
 ) -> CheckReport:
     """Every reduced word of every element yields the same ascent set."""
-    weights = tuple(weights) if weights is not None else default_weight_grid(rs)
+    weights = default_weight_grid(rs)
     fn = aset_fn or ascent_set_word
     cases = 0
     for w in enumerate_group(rs):
@@ -229,9 +227,7 @@ def check_word_independence(
 
 
 def check_concatenation(
-    rs: RootSystem,
-    weights: Optional[Sequence[Weight]] = None,
-    aset_fn: Optional[AsetFn] = None,
+    rs: RootSystem, aset_fn: Optional[AsetFn] = None
 ) -> CheckReport:
     """Splitting a word into two blocks satisfies the union identity.
 
@@ -240,7 +236,7 @@ def check_concatenation(
     the first-block translate of the second block's set at the pulled-back
     member.
     """
-    weights = tuple(weights) if weights is not None else default_weight_grid(rs)
+    weights = default_weight_grid(rs)
     fn = aset_fn or ascent_set_word
     cases = 0
     for w in enumerate_group(rs):

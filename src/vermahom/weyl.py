@@ -119,11 +119,14 @@ def length(u: WeylElem) -> int:
     return sum(1 for beta in u.rs.positive_roots if not u.act_on_root(beta).is_positive)
 
 
-def reduced_word_over(u: WeylElem, simples: tuple[Root, ...]) -> tuple[int, ...]:
-    """Reduced word of ``u`` over ``simples``: peel the first left descent
-    in the order of ``simples`` repeatedly."""
+def peel_descents(
+    u: WeylElem, simples: tuple[Root, ...]
+) -> tuple[tuple[int, ...], WeylElem]:
+    """Peel the first left descent of ``u`` in the order of ``simples`` until
+    none is left: the peeled word and the inverse of the unpeeled rest, the
+    identity exactly when ``u`` is a product of the reflections in ``simples``."""
     word = []
-    cur_inv = inverse(u)  # inverse of the unpeeled rest
+    cur_inv = inverse(u)
     while True:
         for i, beta in enumerate(simples):
             if not cur_inv.act_on_root(beta).is_positive:
@@ -131,10 +134,16 @@ def reduced_word_over(u: WeylElem, simples: tuple[Root, ...]) -> tuple[int, ...]
                 cur_inv = multiply(cur_inv, reflection(u.rs, beta))
                 break
         else:
-            break
-    if not cur_inv.is_identity:
+            return tuple(word), cur_inv
+
+
+def reduced_word_over(u: WeylElem, simples: tuple[Root, ...]) -> tuple[int, ...]:
+    """Reduced word of ``u`` over ``simples``: the descent peel, which must
+    leave nothing."""
+    word, rest_inv = peel_descents(u, simples)
+    if not rest_inv.is_identity:
         raise DomainError("element is not a product of the simple reflections")
-    return tuple(word)
+    return word
 
 
 def reduced_words_over(
@@ -260,12 +269,12 @@ def parse_word(text: str, rank: int) -> tuple[int, ...]:
         return ()
     tokens = body.split()
     indices: list[int] = []
-    if len(tokens) == 1 and tokens[0].isdigit():
+    if len(tokens) == 1 and tokens[0].isdecimal():
         indices = [int(ch) for ch in tokens[0]]
     else:
         for tok in tokens:
             t = tok[1:] if tok.startswith("s") else tok
-            if not t.isdigit():
+            if not t.isdecimal():
                 raise ValidationError(f"cannot parse word {text!r}")
             indices.append(int(t))
     for i in indices:

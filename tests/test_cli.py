@@ -387,6 +387,15 @@ def test_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("word", ["s\u00b2", "\u00b2", "\u2460"])
+def test_unicode_digits_that_int_rejects_are_a_parse_error(capsys, word):
+    # str.isdigit() holds for superscript and circled digits, which int()
+    # rejects; such a word is malformed, not a crash
+    code, out, err = run_cli(
+        capsys, ["hom-verma", "A2", word, "(1,1)", "e", "(1,1)"])
+    assert (code, out, err) == (2, "", f"error: cannot parse word {word!r}\n")
+
+
 def test_selfcheck_cli(capsys):
     code, out, _ = run_cli(
         capsys, ["selfcheck", "--types", "A1", "--grid-radius", "1"]
@@ -635,6 +644,23 @@ def test_cache_entry_without_its_base_weight_is_a_miss(capsys, tmp_path):
     code, out, err = run_cli(capsys, argv + cache)
     assert code == 0 and out == fresh
     assert err == f"cache: 0 hits, {len(emptied)} misses\n"
+    assert json.loads(path.read_text()) == whole
+
+
+@pytest.mark.parametrize("elements", [[1], [["(1)"]], ["(1)", {"x": 1}]])
+def test_cache_entry_with_a_non_string_member_is_a_miss(
+        capsys, tmp_path, elements):
+    argv = ["aset", "A1", "1", "(1)"]
+    cache = ["--cache-dir", str(tmp_path)]
+    _, fresh, _ = run_cli(capsys, argv + ["--no-cache"])
+    run_cli(capsys, argv + cache)
+    path = tmp_path / "aset_cache.json"
+    whole = json.loads(path.read_text())
+    (key,) = whole["entries"]
+    corrupt = {**whole, "entries": {key: {"elements": elements}}}
+    path.write_text(json.dumps(corrupt))
+    code, out, err = run_cli(capsys, argv + cache)
+    assert (code, out, err) == (0, fresh, "cache: 0 hits, 1 misses\n")
     assert json.loads(path.read_text()) == whole
 
 

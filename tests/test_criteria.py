@@ -272,6 +272,22 @@ def test_principal_series_matches_twisted_family_at_regular_integral():
             assert ps == tw, (str(w1), str(w2), mu1, mu2)
 
 
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_twisted_is_principal_series_over_rho_with_sides_swapped(name):
+    # the twisted criterion is the principal-series construction over the
+    # full system integral_data(rs, rho), at inverted twists, sides swapped;
+    # rho is regular, so the right side's saturation adds nothing
+    rs = build_root_system(name)
+    group = enumerate_group(rs)
+    mus = [rs.rho, rs.weight((0,) * rs.rank), -rs.rho]
+    for w1, w2 in itertools.product(group, repeat=2):
+        for mu1, mu2 in itertools.product(mus, repeat=2):
+            tw = hom_twisted_verma(w1, mu1, w2, mu2)
+            ps = hom_principal_series(rs.rho, inverse(w2), mu2, inverse(w1), mu1)
+            assert (tw.left_set, tw.right_set) == (ps.right_set, ps.left_set)
+            assert tw.witness == ps.witness, (str(w1), str(w2), mu1, mu2)
+
+
 def test_stabilizer_invariance_wall_weight():
     rs = build_root_system("A2")
     lam = rs.weight((0, 1))

@@ -267,8 +267,9 @@ def test_reduce_parameters_examples():
     ).is_identity
 
 
-@pytest.mark.parametrize("name", ["A2", "B2"])
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3"])
 def test_reduce_parameters_postcondition(name):
+    # the defining property, the reference for the descent peel
     rs = build_root_system(name)
     for lam in lam_grid(rs.rank):
         data = integral_data(rs, lam)
