@@ -48,7 +48,6 @@ from .rootsystem import (
     Weight,
     build_root_system,
     parse_weight,
-    positive_root_count,
     weyl_group_order,
 )
 from .weyl import (
@@ -108,7 +107,6 @@ __all__ = [
     "orbit",
     "parse_weight",
     "parse_word",
-    "positive_root_count",
     "reduce_parameters",
     "reflection",
     "replay_certificate",

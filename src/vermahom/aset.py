@@ -31,7 +31,7 @@ from typing import Mapping, Optional, Sequence
 from .errors import DomainError
 from .integral import IntegralData, all_integral_words, canonical_integral_word
 from .rootsystem import Root, RootSystem, Weight
-from .weyl import DEFAULT_WORD_LENGTH_BOUND, WeylElem, identity, multiply, reflection
+from .weyl import WeylElem, identity, multiply, reflection
 
 
 @dataclass(frozen=True)
@@ -216,11 +216,8 @@ def ascent_set(
 
 
 def ascent_set_all_words(
-    w: WeylElem,
-    mu: Weight,
-    context: IntegralData,
-    max_length: int = DEFAULT_WORD_LENGTH_BOUND,
+    w: WeylElem, mu: Weight, context: IntegralData
 ) -> tuple[AscentSet, ...]:
     """One ascent set per reduced word of ``w``; property-suite support."""
-    words = sorted(all_integral_words(w, context, max_length))
+    words = sorted(all_integral_words(w, context))
     return tuple(ascent_set_word(w.rs, word, mu, context) for word in words)

@@ -191,9 +191,14 @@ def _open_cache(ns: argparse.Namespace) -> Optional[AscentSetCache]:
 
 
 def _close_cache(cache: Optional[AscentSetCache]) -> None:
-    """Save the invocation's cache and report its counts on stderr."""
+    """Save the invocation's cache and report its counts on stderr; a cache
+    that cannot be written costs a warning, not the answer."""
     if cache is not None:
-        cache.save()
+        try:
+            cache.save()
+        except OSError as exc:
+            print(f"warning: cannot save cache file {cache.path}: {exc}",
+                  file=sys.stderr)
         print(f"cache: {cache.hits} hits, {cache.misses} misses", file=sys.stderr)
 
 
@@ -309,10 +314,6 @@ def _normalize_query(rs, lam, w1, mu1, w2, mu2):
 def _run_integral(ns: argparse.Namespace) -> int:
     rs, lam = ns.root_system, ns.lam
     data = integral_data(rs, lam)
-    try:
-        order = len(integral_group_elements(data))
-    except EnumerationBound:
-        order = None
     payload = {
         "root_system": str(rs.spec),
         "lambda": str(lam),
@@ -320,8 +321,10 @@ def _run_integral(ns: argparse.Namespace) -> int:
         "simple_system": [list(r.coords) for r in data.simple_roots],
         "stabilizer_generators": [list(r.coords) for r in data.stabilizer_gens],
         "longest_element": str(data.longest_element),
-        "longest_integral_length": integral_length(data.longest_element, data),
-        "group_order": order,
+        # the longest element inverts every positive root
+        "longest_integral_length": len(data.positive_roots),
+        "group_order": rs.reflection_group_order(data.simple_roots,
+                                                 data.positive_roots),
     }
     # integer lists print the same through json.dumps and str()
     rows = [[key, json.dumps(value) if isinstance(value, list) else str(value)]

@@ -14,10 +14,9 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .rootsystem import Root, RootSystem, Weight
+from .weyl import enumerate_group  # noqa: F401  (bench/tracer.py wraps it here)
 from .weyl import (
-    DEFAULT_WORD_LENGTH_BOUND,
     WeylElem,
-    enumerate_group,
     group_closure,
     identity,
     inverse,
@@ -118,11 +117,9 @@ def canonical_integral_word(w: WeylElem, data: IntegralData) -> tuple[Root, ...]
     return tuple(simples[i] for i in reduced_word_over(w, simples))
 
 
-def all_integral_words(
-    w: WeylElem, data: IntegralData, max_length: int = DEFAULT_WORD_LENGTH_BOUND
-) -> frozenset[tuple[Root, ...]]:
+def all_integral_words(w: WeylElem, data: IntegralData) -> frozenset[tuple[Root, ...]]:
     """Every reduced word of ``w`` over the integral simple system."""
-    words = reduced_words_over(w, data.simple_roots, max_length)
+    words = reduced_words_over(w, data.simple_roots)
     return frozenset(tuple(data.simple_roots[i] for i in word) for word in words)
 
 
@@ -132,18 +129,14 @@ def integral_group_elements(data: IntegralData) -> tuple[WeylElem, ...]:
 
 
 def stabilizer_elements(data: IntegralData) -> frozenset[WeylElem]:
-    """The subgroup fixing the weight, element by element, for certificates
-    that name one (saturating a set needs only ``stabilizer_gens``).
-
-    For a dominant weight this is the closure of the zero-pairing simple
-    reflections; otherwise it falls back to filtering the full group.  The
-    two paths agree on dominant weights (cross-checked in the test suite).
+    """The subgroup fixing a dominant weight, element by element, for
+    certificates that name one (saturating a set needs only
+    ``stabilizer_gens``): the closure of the zero-pairing simple reflections.
+    A non-dominant weight raises :class:`DomainError`.
     """
-    if data.dominant:
-        return frozenset(group_closure(data.rs, data.stabilizer_gens))
-    return frozenset(
-        w for w in enumerate_group(data.rs) if w.act(data.weight) == data.weight
-    )
+    if not data.dominant:
+        raise DomainError("stabilizer elements need a dominant weight")
+    return frozenset(group_closure(data.rs, data.stabilizer_gens))
 
 
 def reduce_parameters(w: WeylElem, lam: Weight) -> WeylElem:

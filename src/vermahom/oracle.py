@@ -35,9 +35,6 @@ from .weyl import (
     simple_reflection,
 )
 
-# check_word_independence enumerates the reduced words of elements up to this
-# length, and raises EnumerationBound past it
-WORD_INDEPENDENCE_LENGTH = 24
 # check_invariances strides its (w1, w2) pairs when the stabilizer-invariance
 # sweep would exceed this many cases
 STABILIZER_BUDGET = 60_000
@@ -213,7 +210,7 @@ def check_word_independence(
     fn = aset_fn or ascent_set_word
     cases = 0
     for w in enumerate_group(rs):
-        words = sorted(all_reduced_words(w, WORD_INDEPENDENCE_LENGTH))
+        words = sorted(all_reduced_words(w))
         letter_words = [_letters(rs, word) for word in words]
         for mu in weights:
             sets = {fn(rs, lw, mu).elements for lw in letter_words}

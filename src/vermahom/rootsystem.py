@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import prod
 from typing import Iterable, Sequence, Union
 
 from .errors import DomainError, ValidationError
@@ -137,42 +137,11 @@ class RootSystemSpec:
         return "x".join(f"{letter}{rank}" for letter, rank in self.components)
 
 
-def positive_root_count(spec: RootSystemSpec) -> int:
-    """Closed-form number of positive roots of the given type."""
-    counts = {"E": {6: 36, 7: 63, 8: 120}}
-    total = 0
-    for letter, n in spec.components:
-        if letter == "A":
-            total += n * (n + 1) // 2
-        elif letter in ("B", "C"):
-            total += n * n
-        elif letter == "D":
-            total += n * (n - 1)
-        elif letter == "E":
-            total += counts["E"][n]
-        elif letter == "F":
-            total += 24
-        elif letter == "G":
-            total += 6
-    return total
-
-
 def weyl_group_order(spec: RootSystemSpec) -> int:
-    """Order of the Weyl group, from the classical formulas."""
-    orders = {"E": {6: 51840, 7: 2903040, 8: 696729600}, "F": 1152, "G": 12}
-    total = 1
-    for letter, n in spec.components:
-        if letter == "A":
-            total *= factorial(n + 1)
-        elif letter in ("B", "C"):
-            total *= 2**n * factorial(n)
-        elif letter == "D":
-            total *= 2 ** (n - 1) * factorial(n)
-        elif letter == "E":
-            total *= orders["E"][n]
-        else:
-            total *= orders[letter]
-    return total
+    """Order of the Weyl group, from the heights of its positive roots
+    (:meth:`RootSystem.reflection_group_order`)."""
+    rs = build_root_system(spec)
+    return rs.reflection_group_order(rs.simple_roots, rs.positive_roots)
 
 
 def invert_matrix(
@@ -313,6 +282,28 @@ class RootSystem:
                         nxt.append(t)
             frontier = nxt
         return seen
+
+    def reflection_group_order(
+        self, simple_roots: Sequence[Root], positive_roots: Sequence[Root]
+    ) -> int:
+        """Order of the group generated by the reflections in ``simple_roots``,
+        whose positive roots are ``positive_roots`` in height order: the
+        product of ``(h + 1) / h`` over their heights ``h`` over
+        ``simple_roots`` (Macdonald, 1972).  A non-simple positive ``b`` pairs
+        positively with some simple ``g``, and ``s_g b = b - k g`` is an
+        earlier positive root, of height ``ht(b) - k``."""
+        height = dict.fromkeys(simple_roots, 1)
+        for b in positive_roots:
+            if b in height:
+                continue
+            wc = self._weight_coords[b]
+            for g in simple_roots:
+                k = sum(x * y for x, y in zip(wc, self._coroot[g]))
+                if k > 0:
+                    image = Root(tuple(x - k * y for x, y in zip(b.coords, g.coords)))
+                    height[b] = height[image] + k
+                    break
+        return prod(h + 1 for h in height.values()) // prod(height.values())
 
     # -- basic queries ----------------------------------------------------
 

@@ -147,14 +147,16 @@ def reduced_word_over(u: WeylElem, simples: tuple[Root, ...]) -> tuple[int, ...]
 
 
 def reduced_words_over(
-    u: WeylElem, simples: tuple[Root, ...], max_length: int
+    u: WeylElem, simples: tuple[Root, ...]
 ) -> frozenset[tuple[int, ...]]:
     """Every reduced word of ``u`` over ``simples``, by recursion over left
-    descents."""
+    descents.  Raises :class:`EnumerationBound` before listing any word when
+    ``u`` is longer than ``DEFAULT_WORD_LENGTH_BOUND``."""
     n = len(reduced_word_over(u, simples))
-    if n > max_length:
+    if n > DEFAULT_WORD_LENGTH_BOUND:
         raise EnumerationBound(
-            f"element has length {n} > word enumeration bound {max_length}"
+            f"element has length {n} > word enumeration bound "
+            f"{DEFAULT_WORD_LENGTH_BOUND}"
         )
     memo: dict[WeylElem, tuple[tuple[int, ...], ...]] = {}
 
@@ -237,11 +239,10 @@ def from_word(rs: RootSystem, indices) -> WeylElem:
     return out
 
 
-def all_reduced_words(
-    u: WeylElem, max_length: int = DEFAULT_WORD_LENGTH_BOUND
-) -> frozenset[tuple[int, ...]]:
-    """Every reduced word of ``u`` (1-based indices)."""
-    words = reduced_words_over(u, u.rs.simple_roots, max_length)
+def all_reduced_words(u: WeylElem) -> frozenset[tuple[int, ...]]:
+    """Every reduced word of ``u`` (1-based indices); raises
+    :class:`EnumerationBound` past length ``DEFAULT_WORD_LENGTH_BOUND``."""
+    words = reduced_words_over(u, u.rs.simple_roots)
     return frozenset(tuple(i + 1 for i in word) for word in words)
 
 

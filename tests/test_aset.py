@@ -217,8 +217,10 @@ def test_ascent_set_all_words_agree():
     results = ascent_set_all_words(w0, mu, data)
     assert len(results) == 2
     assert results[0].elements == results[1].elements == frozenset(A2_FULL_ORBIT)
+    d5 = build_root_system("D5")  # w0 of length 20, past the word bound
     with pytest.raises(EnumerationBound):
-        ascent_set_all_words(w0, mu, data, max_length=2)
+        ascent_set_all_words(longest_element(d5), -d5.rho,
+                             integral_data(d5, d5.rho))
 
 
 @pytest.mark.parametrize("name", ["A2", "B2"])

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import re
+import time
 
 import pytest
 
@@ -321,6 +322,23 @@ def test_integral_summary(capsys):
     assert payload["longest_integral_length"] == 1
 
 
+def test_integral_group_order_is_counted_not_listed(capsys):
+    # E7 at rho and the D8 system of E8 at (1/2,...) have millions of
+    # elements; their orders come from root heights, so nothing is listed
+    started = time.perf_counter()
+    for argv, order, longest in [
+        (["integral", "E6", "(1,1,1,1,1,1)"], 51840, 36),
+        (["integral", "E7", "(1,1,1,1,1,1,1)"], 2903040, 63),
+        (["integral", "E8", "(" + ",".join(["1/2"] * 8) + ")"], 5160960, 56),
+    ]:
+        code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["group_order"] == order
+        assert payload["longest_integral_length"] == longest
+    assert time.perf_counter() - started < 5.0
+
+
 def test_verdict_formats_carry_identical_content(capsys):
     argv = ["hom-verma", "B2", "s1", "(1,1)", "e", "(1,1)"]
     _, json_out, _ = run_cli(capsys, argv + ["--format", "json"])
@@ -613,6 +631,29 @@ def test_concurrent_cache_saves_do_not_collide(tmp_path, monkeypatch):
     reloaded = AscentSetCache(str(tmp_path))
     assert reloaded.load_warning is None
     assert reloaded.entries == first.entries  # the last rename wins
+
+
+@pytest.mark.parametrize("argv", [
+    ["aset", "A2", "121", "(-1,-1)"],
+    ["hom-verma", "A1", "e", "(1)", "e", "(1)"],
+    ["table", "A1", "--mu-orbit", "(1)", "--format", "tsv"],
+], ids=["aset", "hom-verma", "table"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_unwritable_cache_dir_still_prints_the_answer(capsys, tmp_path, argv,
+                                                      below):
+    # a regular file where the cache directory should be: the load and the
+    # save each warn, and stdout and the exit code are the uncached run's
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory", encoding="utf-8")
+    directory = blocker / "sub" if below else blocker
+    _, fresh, _ = run_cli(capsys, argv + ["--no-cache"])
+    code, out, err = run_cli(capsys, argv + ["--cache-dir", str(directory)])
+    assert (code, out) == (0, fresh)
+    lines = err.splitlines()
+    assert lines[-2].startswith("warning: cannot save cache file "
+                                + str(directory / "aset_cache.json") + ": ")
+    assert re.fullmatch(r"cache: \d+ hits, [1-9]\d* misses", lines[-1])
+    assert blocker.read_text(encoding="utf-8") == "not a directory"
 
 
 def test_failed_cache_save_leaves_no_temporary_file(tmp_path, monkeypatch):

@@ -213,6 +213,25 @@ def test_stabilizer_examples():
     assert stabilizer_elements(wall) == {identity(rs), simple_reflection(rs, 1)}
 
 
+def test_stabilizer_elements_need_a_dominant_weight():
+    rs = build_root_system("A2")
+    data = integral_data(rs, rs.weight((-1, 0)))
+    assert not data.dominant
+    with pytest.raises(DomainError):
+        stabilizer_elements(data)
+
+
+@pytest.mark.parametrize("name", RANK3_TYPES + ["A1xA1", "A4", "B4", "C4", "D4", "F4"])
+def test_integral_group_order_from_root_heights(name):
+    # the product formula over the integral system's own heights counts the
+    # group that the closure over its simple reflections lists
+    rs = build_root_system(name)
+    for lam in small_lams(rs):
+        data = integral_data(rs, lam)
+        order = rs.reflection_group_order(data.simple_roots, data.positive_roots)
+        assert order == len(integral_group_elements(data)), str(lam)
+
+
 @pytest.mark.parametrize("name", RANK3_TYPES)
 def test_stabilizer_generation_coincidence(name):
     rs = build_root_system(name)

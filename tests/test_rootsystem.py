@@ -11,7 +11,7 @@ from vermahom.rootsystem import (
     Weight,
     build_root_system,
     parse_weight,
-    positive_root_count,
+    weyl_group_order,
 )
 
 SMALL_TYPES = ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A1xA1"]
@@ -34,8 +34,26 @@ def weights_for(rank, max_denominator=3):
 def test_positive_root_counts(name, count):
     rs = build_root_system(name)
     assert len(rs.positive_roots) == count
-    assert positive_root_count(rs.spec) == count
     assert len(rs.roots) == 2 * count
+
+
+# the classical orders (Bourbaki, plates): (n+1)! for A_n, 2^n n! for B_n and
+# C_n, 2^(n-1) n! for D_n, and the exceptional ones
+CLASSICAL_ORDERS = {
+    "A1": 2, "A2": 6, "A3": 24, "A4": 120, "A5": 720, "A6": 5040,
+    "A7": 40320, "A8": 362880,
+    "B2": 8, "B3": 48, "B4": 384, "B5": 3840, "B6": 46080, "B7": 645120,
+    "B8": 10321920,
+    "C3": 48, "C4": 384, "C5": 3840,
+    "D4": 192, "D5": 1920, "D6": 23040, "D7": 322560, "D8": 5160960,
+    "E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152, "G2": 12,
+    "A1xA1": 4, "A2xB3xG2": 3456,
+}
+
+
+@pytest.mark.parametrize("name,order", sorted(CLASSICAL_ORDERS.items()))
+def test_weyl_group_order_from_root_heights(name, order):
+    assert weyl_group_order(RootSystemSpec.parse(name)) == order
 
 
 @pytest.mark.parametrize("name", SMALL_TYPES)
