@@ -66,8 +66,11 @@ def integral_data(rs: RootSystem, lam: Weight) -> IntegralData:
     """Compute the integral subsystem data of ``lam``."""
     if len(lam.coords) != rs.rank:
         raise DomainError("weight rank does not match the root system")
-    pairs = {b: rs.pairing(b, lam) for b in rs.positive_roots}
-    pos = tuple(b for b, p in pairs.items() if p.denominator == 1)
+    # pairings times den, from the integer form nums / den of lam: a pairing
+    # is integral iff den divides its numerator
+    nums, den = lam._integer_form()
+    pairs = {b: rs._pairing_numerator(b, nums) for b in rs.positive_roots}
+    pos = tuple(b for b, p in pairs.items() if p % den == 0)
     pos_set = {b.coords for b in pos}
     simples = tuple(sorted(
         p for p in pos
@@ -167,16 +170,20 @@ def dominant_representative(rs: RootSystem, lam: Weight) -> tuple[Weight, WeylEl
     Returns ``(dom, v)`` with ``v`` a product of integral simple reflections
     and ``v(lam) = dom`` dominant (no positive root pairs with it to a
     negative integer).  Deterministic: always reflects at the first violating
-    integral simple root.
+    integral simple root.  The walk runs on the numerators of ``lam``'s
+    integer form over their fixed denominator ``den``: reflecting in ``beta``
+    subtracts ``p`` times the weight coordinates of ``beta``, ``p / den`` the
+    pairing; ``dom`` is built once at the end.
     """
     data = integral_data(rs, lam)
-    cur = lam
+    nums, den = lam._integer_form()
     v = identity(rs)
     while True:
         for beta in data.simple_roots:
-            if rs.pairing(beta, cur) < 0:  # integral by construction
-                cur = rs.reflect(beta, cur)
+            p = rs._pairing_numerator(beta, nums)
+            if p < 0:  # integral by construction
+                nums = [n - p * c for n, c in zip(nums, rs._weight_coords[beta])]
                 v = multiply(reflection(rs, beta), v)
                 break
         else:
-            return cur, v
+            return Weight._from_integer_form(nums, den), v

@@ -5,15 +5,24 @@ weight ``mu`` is the coroot pairing of the ``i``-th simple root against
 ``mu``.  Roots are integer vectors in the simple-root basis and coroots are
 integer vectors in the simple-coroot basis; both come from the Cartan matrix
 alone.  Only weights are rational (:class:`fractions.Fraction`); no floating
-point is used anywhere."""
+point is used anywhere.
+
+The parameter layer (:meth:`RootSystem.is_dominant`,
+:meth:`~vermahom.weyl.WeylElem.act`, :func:`~vermahom.integral.integral_data`
+and :func:`~vermahom.integral.dominant_representative`) works on a weight's
+integer form instead: its numerators over the lcm of its denominators, paired
+with integer coroots by integer dot products, with one ``Fraction`` per
+coordinate built only for a result.  :meth:`RootSystem.pairing` and
+:meth:`RootSystem.reflect` still compute in ``Fraction``."""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import DomainError, ValidationError
@@ -54,23 +63,50 @@ class Root:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Weight:
-    """A weight, as exact coordinates in the fundamental-weight basis."""
+    """A weight, as exact coordinates in the fundamental-weight basis.
+
+    Weights key every memo, so the hash, ``hash(coords)``, is computed once
+    at construction and kept in a slot."""
 
     coords: tuple[Fraction, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.coords))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def _zip(self, other: "Weight"):
+        if len(self.coords) != len(other.coords):
+            raise DomainError(
+                f"weight ranks {len(self.coords)} and {len(other.coords)} differ")
+        return zip(self.coords, other.coords)
 
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Weight(tuple(a + b for a, b in self._zip(other)))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Weight(tuple(a - b for a, b in self._zip(other)))
 
     def __neg__(self) -> "Weight":
         return Weight(tuple(-a for a in self.coords))
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coords)
+
+    def _integer_form(self) -> tuple[list[int], int]:
+        """``(nums, den)`` with ``den`` the lcm of the denominators and
+        ``self = nums / den`` coordinatewise."""
+        den = lcm(*(c.denominator for c in self.coords))
+        return [c.numerator * (den // c.denominator) for c in self.coords], den
+
+    @staticmethod
+    def _from_integer_form(nums, den: int) -> "Weight":
+        """The weight ``nums / den``: one ``Fraction`` per coordinate."""
+        return Weight(tuple(Fraction(n, den) for n in nums))
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
@@ -348,6 +384,11 @@ class RootSystem:
         wc = self._weight_coords[beta]
         return Weight(tuple(x - m * w for x, w in zip(mu.coords, wc)))
 
+    def _pairing_numerator(self, beta: Root, nums) -> int:
+        """The pairing of ``beta`` against the weight ``nums / den``, times
+        ``den``: an integer dot product with the coroot."""
+        return sum(map(mul, self._coroot[beta], nums))
+
     def in_root_lattice(self, mu: Weight) -> bool:
         """Is the weight an integer combination of roots?"""
         if len(mu.coords) != self.rank:
@@ -361,11 +402,16 @@ class RootSystem:
         """True iff no positive root pairs with ``lam`` to a negative integer.
 
         This is weaker than classical dominance: negative non-integral
-        pairings are allowed.
+        pairings are allowed.  Computed on the integer form ``nums / den`` of
+        ``lam``: the pairing ``p / den`` is a negative integer iff ``p < 0``
+        and ``den`` divides ``p``.
         """
+        if len(lam.coords) != self.rank:
+            raise DomainError(f"weight rank {len(lam.coords)} != system rank {self.rank}")
+        nums, den = lam._integer_form()
         for beta in self.positive_roots:
-            p = self.pairing(beta, lam)
-            if p.denominator == 1 and p < 0:
+            p = self._pairing_numerator(beta, nums)
+            if p < 0 and p % den == 0:
                 return False
         return True
 

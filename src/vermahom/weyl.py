@@ -17,8 +17,8 @@ in the given order that is a left descent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import DomainError, EnumerationBound, ValidationError
 from .rootsystem import Root, RootSystem, Weight, weyl_group_order
@@ -38,12 +38,13 @@ class WeylElem:
         return multiply(self, other)
 
     def act(self, mu: Weight) -> Weight:
+        """The image of ``mu``: the matrix applied to the numerators of
+        ``mu``'s integer form, over its common denominator."""
         if len(mu.coords) != self.rs.rank:
             raise DomainError("weight rank does not match the root system")
-        return Weight(tuple(
-            sum((row[j] * mu.coords[j] for j in range(self.rs.rank)), Fraction(0))
-            for row in self.matrix
-        ))
+        nums, den = mu._integer_form()
+        return Weight._from_integer_form(
+            [sum(map(mul, row, nums)) for row in self.matrix], den)
 
     def act_on_root(self, beta: Root) -> Root:
         wc = self.rs._require(beta)
