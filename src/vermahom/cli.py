@@ -339,6 +339,9 @@ def _run_table(ns: argparse.Namespace) -> int:
     cache = _open_cache(ns)
     engine = DEFAULT if cache is None else Engine(cache)
     if ns.criterion == "twisted-verma":
+        if ns.lam is not None:
+            raise PreconditionError("table --lambda requires --criterion "
+                                    "principal-series")
         group = sorted(enumerate_group(rs),
                        key=lambda w: (length(w), canonical_reduced_word(w)))
         mus = sorted(orbit(rs, {mu0}, rs.simple_roots))

@@ -87,16 +87,19 @@ def integral_data(rs: RootSystem, lam: Weight) -> IntegralData:
 
 
 def in_integral_group(w: WeylElem, data: IntegralData) -> bool:
-    """Membership test: the element moves the weight within the root lattice.
+    """Membership test: the descent peel over the integral simples leaves
+    nothing.
 
-    This lattice characterization coincides with membership in the reflection
-    subgroup of the integral roots (the test suite sweeps the coincidence
-    exhaustively at small rank).  The coarser weight-lattice condition would
-    not: already in rank one, a weight with a half-integral coroot pairing is
-    moved by the reflection through minus one fundamental weight, while its
-    integral root system is empty.
+    This coincides with the lattice characterization, that the element moves
+    the weight within the root lattice (Humphreys, *Representations of
+    Semisimple Lie Algebras in the BGG Category O*, 3.4; the test suite
+    sweeps the coincidence against
+    :meth:`~vermahom.rootsystem.RootSystem.in_root_lattice`).  The coarser
+    weight-lattice condition would not: already in rank one, a weight with a
+    half-integral coroot pairing is moved by the reflection through minus
+    one fundamental weight, while its integral root system is empty.
     """
-    return data.rs.in_root_lattice(w.act(data.weight) - data.weight)
+    return peel_descents(w, data.simple_roots)[1].is_identity
 
 
 def integral_length(w: WeylElem, data: IntegralData) -> int:

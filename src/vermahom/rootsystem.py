@@ -281,19 +281,27 @@ class RootSystem:
             sorted((r for r in self.roots if r.is_positive),
                    key=lambda r: (r.height, r.coords))
         )
+        # One fixed order of the roots, the index of a Weyl element's
+        # permutation: the positive roots, then their negatives, so index
+        # ``k`` is positive iff ``k < len(positive_roots)``.  The coroots and
+        # the simple roots' indices by that order give a permutation's matrix.
+        self.indexed_roots: tuple[Root, ...] = self.positive_roots + tuple(
+            -r for r in self.positive_roots)
+        self.root_index: dict[Root, int] = {
+            r: k for k, r in enumerate(self.indexed_roots)}
+        self._indexed_coroots = tuple(self._coroot[r] for r in self.indexed_roots)
+        self._simple_indices = tuple(self.root_index[a] for a in self.simple_roots)
         self.rho = Weight(tuple(Fraction(1) for _ in range(self.rank)))
         self.cartan_inverse = invert_matrix(self.cartan)
 
-        # Each root's fundamental-weight coordinates, and the inverse map.
-        self._weight_coords: dict[Root, tuple[int, ...]] = {}
-        self._by_weight: dict[tuple[int, ...], Root] = {}
-        for root in self.roots:
-            wc = tuple(
+        # Each root's fundamental-weight coordinates.
+        self._weight_coords: dict[Root, tuple[int, ...]] = {
+            root: tuple(
                 sum(self.cartan[i][j] * root.coords[j] for j in range(self.rank))
                 for i in range(self.rank)
             )
-            self._weight_coords[root] = wc
-            self._by_weight[wc] = root
+            for root in self.roots
+        }
 
     def _close_roots(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Every root mapped to its coroot: the closure of the simple pairs
@@ -366,6 +374,12 @@ class RootSystem:
         if wc is None:
             raise DomainError(f"{root} is not a root of {self}")
         return wc
+
+    def _index(self, root: Root) -> int:
+        k = self.root_index.get(root)
+        if k is None:
+            raise DomainError(f"{root} is not a root of {self}")
+        return k
 
     # -- the core operations ----------------------------------------------
 

@@ -1,8 +1,13 @@
 """Weyl group elements with exact action, words and length.
 
-An element is represented by its integer matrix acting on fundamental-weight
-coordinates; equality and hashing go through the matrix, so words are
-non-canonical witnesses.
+An element is represented by the permutation it induces on the roots
+(Casselman, *Computation in Coxeter groups I*, 2002), over the fixed root
+order :attr:`~vermahom.rootsystem.RootSystem.indexed_roots`: the product is
+composition, the inverse is the inverse permutation, the image of a root is
+one lookup and a descent is an index past the positive block.  The action
+on roots is faithful, so equality and hashing go through the permutation,
+and words are non-canonical witnesses.  The integer matrix on
+fundamental-weight coordinates, which acts on weights, is derived from it.
 
 The Coxeter-group algorithms (reduced word, all reduced words, longest
 element, group closure, weight orbit) take an ordered tuple of simple roots,
@@ -27,15 +32,24 @@ DEFAULT_GROUP_BOUND = 3_628_800  # 10!
 DEFAULT_WORD_LENGTH_BOUND = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeylElem:
-    """A Weyl group element; ``matrix`` acts on fundamental-weight coordinates."""
+    """A Weyl group element: ``perm[k]`` is the index of the image of the
+    root ``rs.indexed_roots[k]`` (see :func:`_perm` for its type)."""
 
     rs: RootSystem = field(repr=False)
-    matrix: tuple[tuple[int, ...], ...]
+    perm: bytes | tuple[int, ...]
 
     def __mul__(self, other: "WeylElem") -> "WeylElem":
         return multiply(self, other)
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The integer matrix acting on fundamental-weight coordinates: row
+        ``i`` is the coroot of ``u^{-1}(alpha_i)``, since
+        ``(u mu)_i = <mu, u^{-1} alpha_i^vee>``."""
+        rs, index = self.rs, self.perm.index
+        return tuple([rs._indexed_coroots[index(k)] for k in rs._simple_indices])
 
     def act(self, mu: Weight) -> Weight:
         """The image of ``mu``: the matrix applied to the numerators of
@@ -47,18 +61,12 @@ class WeylElem:
             [sum(map(mul, row, nums)) for row in self.matrix], den)
 
     def act_on_root(self, beta: Root) -> Root:
-        wc = self.rs._require(beta)
-        image = tuple(
-            sum(row[j] * wc[j] for j in range(self.rs.rank)) for row in self.matrix
-        )
-        root = self.rs._by_weight.get(image)
-        if root is None:
-            raise DomainError("matrix does not permute the roots")
-        return root
+        rs = self.rs
+        return rs.indexed_roots[self.perm[rs._index(beta)]]
 
     @property
     def is_identity(self) -> bool:
-        return self.matrix == _identity_matrix(self.rs.rank)
+        return self.perm == _perm(self.rs, range(len(self.perm)))
 
     def __str__(self) -> str:
         return format_word(canonical_reduced_word(self))
@@ -67,13 +75,15 @@ class WeylElem:
         return f"WeylElem({self.rs.spec}, {self})"
 
 
-@lru_cache(maxsize=None)
-def _identity_matrix(rank: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
+def _perm(rs: RootSystem, indices) -> bytes | tuple[int, ...]:
+    """A permutation of the root indices of ``rs``: ``bytes``, compact and
+    hashed once, when every index fits in a byte (at most 256 roots, so
+    every exceptional type), else a tuple."""
+    return bytes(indices) if len(rs.indexed_roots) <= 256 else tuple(indices)
 
 
 def identity(rs: RootSystem) -> WeylElem:
-    return WeylElem(rs, _identity_matrix(rs.rank))
+    return WeylElem(rs, _perm(rs, range(len(rs.indexed_roots))))
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElem:
@@ -86,38 +96,37 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElem:
 @lru_cache(maxsize=None)
 def reflection(rs: RootSystem, beta: Root) -> WeylElem:
     """The reflection in an arbitrary root ``beta``; one per root, so the
-    memo is bounded by the number of roots."""
-    wc = rs._require(beta)
+    memo is bounded by the number of roots.  It sends ``gamma`` to
+    ``gamma - <gamma, beta^vee> beta``."""
+    rs._require(beta)
     vec = rs._coroot[beta]
-    return WeylElem(rs, tuple(
-        tuple((1 if j == k else 0) - wc[j] * vec[k] for k in range(rs.rank))
-        for j in range(rs.rank)
-    ))
+    perm = []
+    for gamma in rs.indexed_roots:
+        k = sum(map(mul, rs._weight_coords[gamma], vec))
+        perm.append(rs.root_index[
+            Root(tuple(g - k * b for g, b in zip(gamma.coords, beta.coords)))])
+    return WeylElem(rs, _perm(rs, perm))
 
 
 def multiply(u: WeylElem, v: WeylElem) -> WeylElem:
+    """The product ``u v``: root ``k`` goes to ``u(v(k))``."""
     if u.rs is not v.rs:
         raise DomainError("cannot multiply elements of different root systems")
-    n = u.rs.rank
-    a, b = u.matrix, v.matrix
-    product = tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    return WeylElem(u.rs, product)
+    return WeylElem(u.rs, _perm(u.rs, map(u.perm.__getitem__, v.perm)))
 
 
 @lru_cache(maxsize=None)
 def inverse(u: WeylElem) -> WeylElem:
-    """Row ``i`` of the inverse is the coroot of ``u(alpha_i)``, since
-    ``(u^{-1} mu)_i = <mu, u alpha_i^vee>``."""
-    rs = u.rs
-    return WeylElem(rs, tuple(rs._coroot[u.act_on_root(a)] for a in rs.simple_roots))
+    """The inverse permutation: the root indices ordered by their images."""
+    perm = u.perm
+    return WeylElem(u.rs, _perm(u.rs, sorted(range(len(perm)),
+                                             key=perm.__getitem__)))
 
 
 def length(u: WeylElem) -> int:
     """Number of positive roots sent to negative roots."""
-    return sum(1 for beta in u.rs.positive_roots if not u.act_on_root(beta).is_positive)
+    npos = len(u.rs.positive_roots)
+    return sum(1 for k in u.perm[:npos] if k >= npos)
 
 
 def peel_descents(
@@ -125,14 +134,19 @@ def peel_descents(
 ) -> tuple[tuple[int, ...], WeylElem]:
     """Peel the first left descent of ``u`` in the order of ``simples`` until
     none is left: the peeled word and the inverse of the unpeeled rest, the
-    identity exactly when ``u`` is a product of the reflections in ``simples``."""
+    identity exactly when ``u`` is a product of the reflections in ``simples``.
+    ``beta`` is a left descent when the rest's inverse sends it past the
+    positive block of the root index."""
+    rs = u.rs
+    npos = len(rs.positive_roots)
+    indices = [rs._index(beta) for beta in simples]
     word = []
     cur_inv = inverse(u)
     while True:
-        for i, beta in enumerate(simples):
-            if not cur_inv.act_on_root(beta).is_positive:
+        for i, k in enumerate(indices):
+            if cur_inv.perm[k] >= npos:
                 word.append(i)
-                cur_inv = multiply(cur_inv, reflection(u.rs, beta))
+                cur_inv = multiply(cur_inv, reflection(rs, simples[i]))
                 break
         else:
             return tuple(word), cur_inv

@@ -385,6 +385,21 @@ def test_table_principal_series(capsys):
     assert payload["row_count"] == 16
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["table", "A1", "--mu-orbit", "(1)", "--lambda", "(1/2)"],
+     "table --lambda requires --criterion principal-series"),
+    (["table", "A1", "--mu-orbit", "(1)", "--criterion", "twisted-verma",
+      "--lambda", "(0)", "--format", "json"],
+     "table --lambda requires --criterion principal-series"),
+    (["table", "A1", "--mu-orbit", "(1)", "--criterion", "principal-series"],
+     "table --criterion principal-series requires --lambda"),
+])
+def test_table_lambda_goes_with_the_principal_series_criterion(
+        capsys, argv, message):
+    code, out, err = run_cli(capsys, argv + ["--no-cache"])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_exit_codes(capsys):
     # parse failure
     code, _, _ = run_cli(capsys, ["hom-verma", "A2", "e", "(1,banana)", "e", "(1,1)"])
