@@ -177,11 +177,13 @@ def ascent_set_word(
 ) -> AscentSet:
     """Ascent set of an explicit word of (integral-)simple roots at ``mu``.
 
-    With a ``context``, every letter must belong to the context's simple
-    system; without one, letters must at least be roots of the system.
+    With a ``context`` of ``rs``, every letter must belong to the context's
+    simple system; without one, letters must at least be roots of the system.
     """
     word = tuple(letters)
     if context is not None:
+        if context.rs is not rs:
+            raise DomainError("word and integral data belong to different root systems")
         allowed = set(context.simple_roots)
         for alpha in word:
             if alpha not in allowed:

@@ -146,8 +146,8 @@ def parse_query(argv: Sequence[str]) -> argparse.Namespace:
     order is the one reported."""
     ns = _parser().parse_args(list(argv))
     if ns.command == "selfcheck":
-        ns.types = ([RootSystemSpec.parse(t) for t in ns.types.split(",")]
-                    if ns.types else None)
+        ns.types = (None if ns.types is None else
+                    [RootSystemSpec.parse(t) for t in ns.types.split(",")])
         return ns
     ns.root_system = rs = build_root_system(ns.root_system)
     if getattr(ns, "lam", None) is not None:

@@ -138,10 +138,10 @@ class _Side:
     stabilized: Optional[IntegralData] = None
 
     @cached_property
-    def stabilizer(self) -> list[WeylElem]:
+    def stabilizer(self) -> tuple[WeylElem, ...]:
         """The stabilizer of a saturated side's weight in matrix order: built
         on the side's first certificate read, then kept with the side."""
-        return sorted(stabilizer_elements(self.stabilized), key=lambda g: g.matrix)
+        return stabilizer_elements(self.stabilized)
 
 
 def _certificate(side: _Side, witness: Weight) -> Optional[dict]:
@@ -199,7 +199,7 @@ def _check_ps(data: IntegralData, w: WeylElem, mu: Weight, slot: str) -> None:
     """The principal-series preconditions on one side's twist and weight."""
     if not in_integral_group(w, data):
         raise DomainError(f"w{slot} is not in the integral Weyl group of lambda")
-    if not (mu - data.weight).is_integral():
+    if any((a - b).denominator != 1 for a, b in mu._zip(data.weight)):
         raise DomainError(
             f"mu{slot} does not lie in lambda + (weight lattice); the module "
             "vanishes for such parameters"
@@ -318,11 +318,8 @@ def normalize_principal_series(
     if len(lam.coords) != rs.rank or len(mu.coords) != rs.rank:
         raise DomainError("weight rank does not match the root system")
     if rs.is_dominant(lam):
-        data = integral_data(rs, lam)
-        if in_integral_group(w, data):
-            return lam, w, mu
         # same lam: swap w for the subgroup element inducing the same
-        # positive system, which gives an isomorphic series
+        # positive system (w itself for a member): an isomorphic series
         return lam, reduce_parameters(w, lam), mu
     # recompose the true parameters, then dominantize within the integral
     # group orbit; this rewrites the same module over a dominant lam

@@ -1,10 +1,11 @@
 """Integral-root machinery attached to a weight.
 
 For a weight ``lam``, the roots pairing integrally with ``lam`` form a root
-subsystem.  This module computes its positive part, simple system, reflection
-subgroup data (membership, length, longest element), the stabilizer of the
-weight, and the normalization that replaces an arbitrary group element by one
-of the subgroup realizing the same induced positive system.
+subsystem.  This module computes its positive part, simple system and
+longest element; membership, length and words of an element, from one
+descent peel; the stabilizer of the weight; and the normalization that
+replaces an arbitrary group element by one of the subgroup realizing the
+same induced positive system.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .weyl import (
     longest_element_over,
     multiply,
     peel_descents,
-    reduced_word_over,
     reduced_words_over,
     reflection,
 )
@@ -86,45 +86,48 @@ def integral_data(rs: RootSystem, lam: Weight) -> IntegralData:
     return IntegralData(rs, lam, pos, simples, longest, gens, dominant)
 
 
-def in_integral_group(w: WeylElem, data: IntegralData) -> bool:
-    """Membership test: the descent peel over the integral simples leaves
-    nothing.
+def _peel(w: WeylElem, data: IntegralData) -> tuple[int, ...] | None:
+    """The descent peel of ``w`` over the integral simples: the reduced word
+    (positions into ``data.simple_roots``) of a member of the integral Weyl
+    group, None for a non-member."""
+    if w.rs is not data.rs:
+        raise DomainError("element and integral data belong to different root systems")
+    word, rest_inv = peel_descents(w, data.simple_roots)
+    return word if rest_inv.is_identity else None
 
-    This coincides with the lattice characterization, that the element moves
-    the weight within the root lattice (Humphreys, *Representations of
-    Semisimple Lie Algebras in the BGG Category O*, 3.4; the test suite
-    sweeps the coincidence against
-    :meth:`~vermahom.rootsystem.RootSystem.in_root_lattice`).  The coarser
-    weight-lattice condition would not: already in rank one, a weight with a
-    half-integral coroot pairing is moved by the reflection through minus
-    one fundamental weight, while its integral root system is empty.
-    """
-    return peel_descents(w, data.simple_roots)[1].is_identity
+
+def in_integral_group(w: WeylElem, data: IntegralData) -> bool:
+    """Membership: the peel leaves nothing.  This is the lattice condition,
+    that ``w`` moves the weight within the root lattice (Humphreys,
+    *Representations of Semisimple Lie Algebras in the BGG Category O*, 3.4;
+    tested against :meth:`~vermahom.rootsystem.RootSystem.in_root_lattice`),
+    not the coarser weight-lattice one: in rank one, the reflection moves a
+    weight with a half-integral pairing by minus one fundamental weight,
+    while its integral root system is empty."""
+    return _peel(w, data) is not None
 
 
 def integral_length(w: WeylElem, data: IntegralData) -> int:
-    """Inversion count over the integral positive roots."""
-    if not in_integral_group(w, data):
+    """The length of the peel's reduced word."""
+    word = _peel(w, data)
+    if word is None:
         raise DomainError("element is not in the integral Weyl group of the weight")
-    return sum(
-        1 for beta in data.positive_roots if not w.act_on_root(beta).is_positive
-    )
+    return len(word)
 
 
 def canonical_integral_word(w: WeylElem, data: IntegralData) -> tuple[Root, ...]:
-    """Canonical reduced word of a subgroup element over the integral simples.
-
-    Peels the first descent in the fixed ordering of ``data.simple_roots``
-    from the left; deterministic, and downstream consumers are insensitive to
-    the choice (a tested invariant).  For a non-member the peel stops short of
-    the identity and raises :class:`DomainError` (see :func:`in_integral_group`).
-    """
-    simples = data.simple_roots
-    return tuple(simples[i] for i in reduced_word_over(w, simples))
+    """Canonical reduced word of a subgroup element: the peel, which takes
+    the first descent in the order of ``data.simple_roots`` (consumers do not
+    depend on the choice, a tested invariant)."""
+    word = _peel(w, data)
+    if word is None:
+        raise DomainError("element is not a product of the simple reflections")
+    return tuple(data.simple_roots[i] for i in word)
 
 
 def all_integral_words(w: WeylElem, data: IntegralData) -> frozenset[tuple[Root, ...]]:
     """Every reduced word of ``w`` over the integral simple system."""
+    canonical_integral_word(w, data)  # refuses other systems and non-members
     words = reduced_words_over(w, data.simple_roots)
     return frozenset(tuple(data.simple_roots[i] for i in word) for word in words)
 
@@ -134,15 +137,16 @@ def integral_group_elements(data: IntegralData) -> tuple[WeylElem, ...]:
     return group_closure(data.rs, data.simple_roots)
 
 
-def stabilizer_elements(data: IntegralData) -> frozenset[WeylElem]:
-    """The subgroup fixing a dominant weight, element by element, for
-    certificates that name one (saturating a set needs only
+def stabilizer_elements(data: IntegralData) -> tuple[WeylElem, ...]:
+    """The subgroup fixing a dominant weight in matrix order, the order in
+    which certificates try it (saturating a set needs only
     ``stabilizer_gens``): the closure of the zero-pairing simple reflections.
     A non-dominant weight raises :class:`DomainError`.
     """
     if not data.dominant:
         raise DomainError("stabilizer elements need a dominant weight")
-    return frozenset(group_closure(data.rs, data.stabilizer_gens))
+    return tuple(sorted(group_closure(data.rs, data.stabilizer_gens),
+                        key=lambda g: g.matrix))
 
 
 def reduce_parameters(w: WeylElem, lam: Weight) -> WeylElem:

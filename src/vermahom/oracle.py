@@ -313,7 +313,7 @@ def check_invariances(
         if not lam.is_integral():
             continue
         data = integral_data(rs, lam)
-        stab = sorted(stabilizer_elements(data), key=lambda w: w.matrix)
+        stab = stabilizer_elements(data)
         if len(stab) == 1:
             continue
         group = integral_group_elements(data)

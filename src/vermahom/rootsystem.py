@@ -360,22 +360,16 @@ class RootSystem:
 
     def root(self, coords: Iterable[int]) -> Root:
         r = Root(tuple(int(c) for c in coords))
-        if r not in self.roots:
-            raise DomainError(f"{r} is not a root of {self}")
+        self._index(r)
         return r
 
     def root_as_weight(self, root: Root) -> Weight:
         """The fundamental-weight coordinates of a root."""
-        wc = self._require(root)
-        return Weight(tuple(Fraction(x) for x in wc))
-
-    def _require(self, root: Root) -> tuple[int, ...]:
-        wc = self._weight_coords.get(root)
-        if wc is None:
-            raise DomainError(f"{root} is not a root of {self}")
-        return wc
+        self._index(root)
+        return Weight(tuple(Fraction(x) for x in self._weight_coords[root]))
 
     def _index(self, root: Root) -> int:
+        """The position of ``root`` in :attr:`indexed_roots`; a non-root raises."""
         k = self.root_index.get(root)
         if k is None:
             raise DomainError(f"{root} is not a root of {self}")

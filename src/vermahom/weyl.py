@@ -98,7 +98,7 @@ def reflection(rs: RootSystem, beta: Root) -> WeylElem:
     """The reflection in an arbitrary root ``beta``; one per root, so the
     memo is bounded by the number of roots.  It sends ``gamma`` to
     ``gamma - <gamma, beta^vee> beta``."""
-    rs._require(beta)
+    rs._index(beta)
     vec = rs._coroot[beta]
     perm = []
     for gamma in rs.indexed_roots:

@@ -199,6 +199,14 @@ def test_context_validates_letters():
     assert ok.elements == {rs.weight((-1, -1)), rs.weight((1, 1))}
 
 
+def test_context_of_another_root_system_is_rejected():
+    a2, b2 = build_root_system("A2"), build_root_system("B2")
+    data = integral_data(b2, b2.rho)
+    # every letter is a simple root of the B2 context and a root of A2
+    with pytest.raises(DomainError, match="different root systems"):
+        ascent_set_word(a2, (a2.simple_roots[0],), a2.rho, context=data)
+
+
 def test_ascent_set_over_integral_context():
     rs = build_root_system("A2")
     data = integral_data(rs, rs.weight((F(1, 2), F(1, 2))))

@@ -437,6 +437,14 @@ def test_selfcheck_cli(capsys):
     assert all(line.startswith("PASS") for line in out.strip().splitlines())
 
 
+@pytest.mark.parametrize("types", ["", ",", "A1,", " "])
+def test_selfcheck_parses_every_given_types_value(capsys, types):
+    # an empty value is a malformed type list, not "no list given"
+    code, out, err = run_cli(capsys, ["selfcheck", "--types", types])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse Cartan type {types.split(',')[-1]!r}\n"
+
+
 # -- persistent cache ---------------------------------------------------------
 
 

@@ -243,6 +243,27 @@ def test_principal_series_preconditions():
     assert hom_principal_series(lam, e, lam, e, lam, engine).hom_nonzero
 
 
+def test_principal_series_congruence_is_integrality_of_mu_minus_lambda():
+    # the congruence check runs coordinate by coordinate; the reference is
+    # the integrality of the difference weight
+    rs = build_root_system("A2")
+    e = identity(rs)
+    values = [F(0), F(1), F(-2), F(1, 2), F(-3, 2), F(1, 3), F(2, 3), F(-2, 3),
+              F(1, 6), F(5, 6)]
+    engine = Engine()
+    for lam in (rs.rho, rs.weight((F(1, 2), F(1, 3))), rs.weight((F(5, 6), 0))):
+        assert integral_data(rs, lam).dominant
+        for mu in itertools.product(values, repeat=2):
+            mu = rs.weight(mu)
+            for slot, query in (("1", (lam, e, mu, e, lam)),
+                                ("2", (lam, e, lam, e, mu))):
+                if (mu - lam).is_integral():
+                    hom_principal_series(*query, engine=engine)
+                else:
+                    with pytest.raises(DomainError, match=f"^mu{slot} does not"):
+                        hom_principal_series(*query, engine=engine)
+
+
 def test_principal_series_reflexivity_sweep():
     rs = build_root_system("A2")
     for lam in [rs.rho, rs.weight((0, 1)), rs.weight((F(1, 2), F(1, 2)))]:
@@ -292,7 +313,7 @@ def test_stabilizer_invariance_wall_weight():
     rs = build_root_system("A2")
     lam = rs.weight((0, 1))
     data = integral_data(rs, lam)
-    stab = sorted(stabilizer_elements(data), key=lambda w: w.matrix)
+    stab = stabilizer_elements(data)
     assert len(stab) == 2
     group = enumerate_group(rs)
     mus = [lam, lam + rs.weight((1, 0)), lam + rs.weight((-1, 1))]
@@ -428,6 +449,22 @@ def test_normalize_reduces_outside_subgroup():
     assert lam == half
     assert w == reduce_parameters(s1, half)
     assert in_integral_group(w, integral_data(rs, lam))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3"])
+def test_normalize_over_a_dominant_lambda_is_reduce_parameters(name):
+    # a dominant lam stays; every w becomes its reduction, and a member of
+    # the integral group is its own reduction
+    rs = build_root_system(name)
+    dominant = [lam for lam in small_lams(rs) if integral_data(rs, lam).dominant]
+    assert any(not lam.is_integral() for lam in dominant)
+    for lam in dominant:
+        mu = lam - rs.rho
+        members = set(integral_group_elements(integral_data(rs, lam)))
+        for w in enumerate_group(rs):
+            reduced = reduce_parameters(w, lam)
+            assert normalize_principal_series(lam, w, mu) == (lam, reduced, mu)
+            assert (reduced == w) == (w in members)
 
 
 def test_normalize_empty_integral_system():

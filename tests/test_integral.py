@@ -180,6 +180,49 @@ def test_integral_length_examples():
         integral_length(simple_reflection(rs, 1), data)
 
 
+def _inversion_count(w, data):
+    # the reference length: integral positive roots that w sends to negative
+    # roots
+    return sum(
+        1 for beta in data.positive_roots if not w.act_on_root(beta).is_positive
+    )
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3"])
+def test_integral_length_is_the_inversion_count(name):
+    rs = build_root_system(name)
+    kinds = set()
+    for lam in small_lams(rs):
+        data = integral_data(rs, lam)
+        if not lam.is_integral():
+            kinds.add("non-integral")
+        elif data.stabilizer_gens:
+            kinds.add("singular")
+        else:
+            kinds.add("regular")
+        subgroup = set(integral_group_elements(data))
+        for w in enumerate_group(rs):
+            if w in subgroup:
+                assert integral_length(w, data) == _inversion_count(w, data)
+            else:
+                with pytest.raises(DomainError, match="^element is not in the "
+                                   "integral Weyl group of the weight$"):
+                    integral_length(w, data)
+    assert kinds == {"regular", "singular", "non-integral"}
+
+
+def test_element_of_another_root_system_is_rejected():
+    # an A2 element asked about B2 data: the peel would read B2 roots as A2
+    # root indices, so every element question refuses it
+    a2, b2 = build_root_system("A2"), build_root_system("B2")
+    data = integral_data(b2, b2.rho)
+    for w in (identity(a2), simple_reflection(a2, 1), longest_element(a2)):
+        for ask in (in_integral_group, canonical_integral_word,
+                    integral_length, all_integral_words):
+            with pytest.raises(DomainError, match="different root systems"):
+                ask(w, data)
+
+
 def test_membership_examples():
     rs = build_root_system("A2")
     data = integral_data(rs, rs.weight((F(1, 2), F(1, 2))))
@@ -206,11 +249,29 @@ def test_membership_matches_reflection_subgroup(name):
 def test_stabilizer_examples():
     rs = build_root_system("A2")
     regular = integral_data(rs, rs.weight((1, 2)))
-    assert stabilizer_elements(regular) == {identity(rs)}
+    assert set(stabilizer_elements(regular)) == {identity(rs)}
     zero = integral_data(rs, rs.weight((0, 0)))
-    assert stabilizer_elements(zero) == set(enumerate_group(rs))
+    assert set(stabilizer_elements(zero)) == set(enumerate_group(rs))
     wall = integral_data(rs, rs.weight((0, 1)))
-    assert stabilizer_elements(wall) == {identity(rs), simple_reflection(rs, 1)}
+    assert set(stabilizer_elements(wall)) == {
+        identity(rs), simple_reflection(rs, 1)}
+
+
+@pytest.mark.parametrize("name", RANK3_TYPES)
+def test_stabilizer_elements_in_matrix_order(name):
+    # certificates try stabilizer elements in this order, so the witness's
+    # named element depends on it
+    rs = build_root_system(name)
+    sizes = []
+    for lam in small_lams(rs):
+        data = integral_data(rs, lam)
+        if not data.dominant:
+            continue
+        stab = stabilizer_elements(data)
+        assert isinstance(stab, tuple) and len(set(stab)) == len(stab)
+        assert [g.matrix for g in stab] == sorted(g.matrix for g in stab)
+        sizes.append(len(stab))
+    assert max(sizes) == len(enumerate_group(rs))  # lam = 0 fixes everything
 
 
 def test_stabilizer_elements_need_a_dominant_weight():
@@ -242,7 +303,7 @@ def test_stabilizer_generation_coincidence(name):
             continue
         generated = stabilizer_elements(data)  # closure path (lam dominant)
         filtered = {w for w in enumerate_group(rs) if w.act(lam) == lam}
-        assert generated == filtered
+        assert set(generated) == filtered
 
 
 def test_canonical_integral_word_roundtrip():
