@@ -19,12 +19,24 @@ independently against the definition.  Certificates follow from the word and
 ``mu`` alone, so they are built only when first read, by one depth-first walk
 of the admissible subsequences in lexicographic order (see
 :func:`_lex_minimal_certificates`).
+
+The frontier and the walk are integer code.  Every weight they reach shares
+the base weight's denominator (an admissible step subtracts an integer
+multiple of a root), so they hold each weight as its numerators over that
+denominator, pair it with integer coroots by integer dot products, and
+build one :class:`~vermahom.rootsystem.Weight` per member only for the
+result.  :func:`replay_certificate` stays ``Fraction`` code, through
+:meth:`~vermahom.rootsystem.RootSystem.pairing` and
+:meth:`~vermahom.rootsystem.RootSystem.reflect`, so that a certificate is
+checked by arithmetic the kernel does not share; the test suite keeps the
+``Fraction`` forms of the frontier and the walk as references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -67,7 +79,7 @@ class AscentSet:
                 f"but its word reaches {len(table)} weights; the stored "
                 "members are corrupt"
             )
-        return MappingProxyType(dict(sorted(table.items())))
+        return MappingProxyType(table)
 
 
 def inversion_sequence(rs: RootSystem, letters: Sequence[Root]) -> tuple[Root, ...]:
@@ -111,20 +123,31 @@ def _members(
     rs: RootSystem, betas: Sequence[Root], mu: Weight
 ) -> frozenset[Weight]:
     """The forward frontier: after position ``i``, every weight some
-    admissible subsequence of ``betas[:i]`` reaches."""
-    members = {mu}
+    admissible subsequence of ``betas[:i]`` reaches.
+
+    Members are held as numerators over the base's denominator ``den``: a
+    step at ``beta`` pairs to ``p / den`` with ``p`` the integer dot product
+    with its coroot, is admissible iff ``p < 0`` and ``den`` divides ``p``,
+    and subtracts ``p`` times the root's weight coordinates."""
+    nums, den = mu._integer_form()
+    start = tuple(nums)
+    members = {start}
     for beta in betas:
+        co, wc = rs._coroot[beta], rs._weight_coords[beta]
         for x in tuple(members):
-            p = rs.pairing(beta, x)
-            if p.denominator == 1 and p < 0:
-                members.add(rs.reflect(beta, x))
-    return frozenset(members)
+            p = sum(map(mul, co, x))
+            if p < 0 and p % den == 0:
+                members.add(tuple([a - p * b for a, b in zip(x, wc)]))
+    # the base stays the caller's object: no second copy of it is kept
+    return frozenset({mu if x is start else Weight._from_integer_form(x, den)
+                      for x in members})
 
 
 def _lex_minimal_certificates(
     rs: RootSystem, betas: Sequence[Root], mu: Weight
 ) -> dict[Weight, tuple[int, ...]]:
-    """Every reachable weight with its lex-minimal admissible subsequence.
+    """Every reachable weight with its lex-minimal admissible subsequence,
+    in sorted order.
 
     A depth-first walk visits the admissible subsequences in lexicographic
     order (smaller next position first), so the first visit of a weight
@@ -133,19 +156,25 @@ def _lex_minimal_certificates(
     position no larger: that visit already reached everything this one
     could.  An unfinished visit (an ancestor) does not count, since with
     arbitrary root letters a path can return to a weight and the ancestor
-    has not yet reached what lies beyond it.
+    has not yet reached what lies beyond it.  Weights are walked in the
+    integer form of :func:`_members`; every one shares the denominator, so
+    their numerators sort as the weights do.
     """
-    n = len(betas)
-    certs = {mu: ()}
-    finished: dict[Weight, int] = {}  # weight -> least last position
+    nums, den = mu._integer_form()
+    steps = [(rs._coroot[b], rs._weight_coords[b]) for b in betas]
+    n = len(steps)
+    start = tuple(nums)
+    certs = {start: ()}
+    finished: dict[tuple[int, ...], int] = {}  # weight -> least last position
     path: list[int] = []  # the current subsequence, one position per child frame
-    stack = [(mu, 0, iter(range(n)))]
+    stack = [(start, 0, iter(range(n)))]
     while stack:
         x, last, todo = stack[-1]
         for i in todo:
-            p = rs.pairing(betas[i], x)
-            if p.denominator == 1 and p < 0:
-                y = rs.reflect(betas[i], x)
+            co, wc = steps[i]
+            p = sum(map(mul, co, x))
+            if p < 0 and p % den == 0:
+                y = tuple([a - p * b for a, b in zip(x, wc)])
                 if finished.get(y, n + 1) > i + 1:
                     path.append(i + 1)
                     certs.setdefault(y, tuple(path))
@@ -156,7 +185,8 @@ def _lex_minimal_certificates(
             if path:
                 path.pop()
             finished[x] = min(finished.get(x, n + 1), last)
-    return certs
+    return {mu if x is start else Weight._from_integer_form(x, den): cert
+            for x, cert in sorted(certs.items())}
 
 
 @lru_cache(maxsize=16384)
@@ -169,17 +199,14 @@ def _ascent_set_cached(
     return result
 
 
-def ascent_set_word(
+def check_word(
     rs: RootSystem,
     letters: Sequence[Root],
     mu: Weight,
     context: Optional[IntegralData] = None,
-) -> AscentSet:
-    """Ascent set of an explicit word of (integral-)simple roots at ``mu``.
-
-    With a ``context`` of ``rs``, every letter must belong to the context's
-    simple system; without one, letters must at least be roots of the system.
-    """
+) -> tuple[Root, ...]:
+    """The checks of :func:`ascent_set_word` on its arguments; returns the
+    word as a tuple.  Every lookup runs them first, cached or not."""
     word = tuple(letters)
     if context is not None:
         if context.rs is not rs:
@@ -196,7 +223,22 @@ def ascent_set_word(
                 raise DomainError(f"letter {alpha} is not a root of {rs}")
     if len(mu.coords) != rs.rank:
         raise DomainError("weight rank does not match the root system")
-    return _ascent_set_cached(rs, word, mu)
+    return word
+
+
+def ascent_set_word(
+    rs: RootSystem,
+    letters: Sequence[Root],
+    mu: Weight,
+    context: Optional[IntegralData] = None,
+) -> AscentSet:
+    """Ascent set of an explicit word of (integral-)simple roots at ``mu``.
+
+    With a ``context`` of ``rs``, every letter must belong to the context's
+    simple system; without one, letters must at least be roots of the system
+    (:func:`check_word`).
+    """
+    return _ascent_set_cached(rs, check_word(rs, letters, mu, context), mu)
 
 
 def ascent_set(

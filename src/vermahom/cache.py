@@ -23,7 +23,7 @@ import os
 import tempfile
 from typing import Optional, Sequence
 
-from .aset import AscentSet, ascent_set_word
+from .aset import AscentSet, ascent_set_word, check_word
 from .integral import IntegralData
 from .rootsystem import Root, RootSystem, Weight, parse_weight
 
@@ -98,7 +98,9 @@ class AscentSetCache:
     ) -> AscentSet:
         """:func:`~vermahom.aset.ascent_set_word` through this cache: a hit
         is returned (recomputed and compared first, with ``verify``), a
-        miss is computed and stored."""
+        miss is computed and stored.  Both first check the arguments as the
+        uncached call does."""
+        check_word(rs, letters, mu, context)
         got = self.get(rs, letters, mu)
         if got is None:
             self.misses += 1

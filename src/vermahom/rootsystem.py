@@ -9,11 +9,22 @@ point is used anywhere.
 
 The parameter layer (:meth:`RootSystem.is_dominant`,
 :meth:`~vermahom.weyl.WeylElem.act`, :func:`~vermahom.integral.integral_data`
-and :func:`~vermahom.integral.dominant_representative`) works on a weight's
-integer form instead: its numerators over the lcm of its denominators, paired
-with integer coroots by integer dot products, with one ``Fraction`` per
-coordinate built only for a result.  :meth:`RootSystem.pairing` and
-:meth:`RootSystem.reflect` still compute in ``Fraction``."""
+and :func:`~vermahom.integral.dominant_representative`) and the ascent-set
+kernel (the frontier and the certificate walk of :mod:`vermahom.aset`) work
+on a weight's integer form instead: its numerators over the lcm of its
+denominators, paired with integer coroots by integer dot products, with one
+``Fraction`` per coordinate built only for a result.
+
+:meth:`RootSystem.pairing` and :meth:`RootSystem.reflect` still compute in
+``Fraction``, and so do their callers: the strong-linkage oracle
+(:func:`~vermahom.oracle.bgg_verma_hom`),
+:func:`~vermahom.oracle.validate_chain`,
+:func:`~vermahom.aset.replay_certificate` and :func:`~vermahom.weyl.orbit`.
+The oracle and the replay are the independent references the kernel is
+checked against, so they must not share its arithmetic.  Moving them to
+integers waits for a benchmark whose run length does not grow with op speed:
+the oracle is most of a cold rank-4 linkage op, and a faster oracle
+lengthens the run."""
 
 from __future__ import annotations
 

@@ -10,7 +10,7 @@ from vermahom import cli
 from vermahom.aset import ascent_set_word, replay_certificate
 from vermahom.cache import CACHE_DIR_ENV, AscentSetCache
 from vermahom.cli import main, parse_query
-from vermahom.errors import ValidationError
+from vermahom.errors import DomainError, ValidationError
 from vermahom.integral import integral_data
 from vermahom.rootsystem import Root, RootSystemSpec, build_root_system, parse_weight
 from vermahom.weyl import (
@@ -630,6 +630,32 @@ def test_cached_certificates_are_read_only(tmp_path):
     with pytest.raises(TypeError):
         got.certificates[rs.rho] = ()
     assert cache.get(rs, letters, mu).certificates == before
+
+
+@pytest.mark.parametrize("case", ["foreign context", "letter", "rank"])
+def test_cache_hits_and_misses_check_arguments_alike(tmp_path, case):
+    a2, b2 = build_root_system("A2"), build_root_system("B2")
+    letters = (a2.simple_roots[0],)
+    cache = AscentSetCache(str(tmp_path))
+    cache.ascent_set_word(a2, letters, a2.rho)
+    if case == "rank":
+        # never a hit: a cached entry's members parse at the system's rank
+        hit, miss = parse_weight("(1)", 1), parse_weight("(2)", 1)
+    else:
+        hit, miss = a2.rho, a2.weight((2, 2))
+    context = {
+        "foreign context": integral_data(b2, b2.rho),
+        # the integral simple system of (1/2,1/2) is the root (1,1) alone
+        "letter": integral_data(a2, parse_weight("(1/2,1/2)", 2)),
+    }.get(case)
+    messages = []
+    for call, mu in ((ascent_set_word, hit), (cache.ascent_set_word, hit),
+                     (cache.ascent_set_word, miss)):
+        with pytest.raises(DomainError) as info:
+            call(a2, letters, mu, context)
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1
+    assert (cache.hits, cache.misses) == (0, 1)
 
 
 def test_concurrent_cache_saves_do_not_collide(tmp_path, monkeypatch):

@@ -190,6 +190,19 @@ def test_f4_antidominant_into_dominant_within_budget():
     assert elapsed < 10.0, f"F4 query took {elapsed:.2f}s >= 10s"
 
 
+def test_e6_antidominant_into_dominant_within_budget():
+    # the ascent set of w0 at -rho is the whole regular orbit, 51,840
+    # weights, reached by the integer frontier; about 4 s on a 2-core
+    # Python 3.11 host whose speed varies by up to 1.8x
+    rs = build_root_system("E6")
+    e = identity(rs)
+    started = time.perf_counter()
+    verdict = hom_twisted_verma(e, -rs.rho, e, rs.rho)
+    elapsed = time.perf_counter() - started
+    assert verdict.hom_nonzero and len(verdict.right_set) == 51840
+    assert elapsed < 15.0, f"E6 query took {elapsed:.2f}s >= 15s"
+
+
 def test_b4_singular_principal_series_within_budget():
     # lambda = 0: the stabilizer is the whole group of 384 elements, so
     # saturating elementwise would take |W| actions per weight
