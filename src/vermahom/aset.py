@@ -11,7 +11,8 @@ Members are computed as a forward frontier over the inversion sequence
 ``beta_1, ..., beta_n``: starting from ``{mu}``, position ``i`` adds
 ``s_{beta_i} x`` for every member ``x`` found so far whose pairing with
 ``beta_i`` is a negative integer.  That is one pairing per (position,
-member); a bounded whole-result cache sits on top.
+member).  Nothing here is memoized: :class:`~vermahom.criteria.Engine`
+keeps the one memo of whole results, above the persistent cache.
 
 Each member also has a certificate: the lexicographically smallest
 admissible subsequence (1-based positions into the word), which replays
@@ -35,7 +36,7 @@ checked by arithmetic the kernel does not share; the test suite keeps the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -189,16 +190,6 @@ def _lex_minimal_certificates(
             for x, cert in sorted(certs.items())}
 
 
-@lru_cache(maxsize=16384)
-def _ascent_set_cached(
-    rs: RootSystem, letters: tuple[Root, ...], mu: Weight
-) -> AscentSet:
-    betas = inversion_sequence(rs, letters)
-    result = AscentSet(rs, letters, mu, _members(rs, betas, mu))
-    result.__dict__["inversion"] = betas  # fills the cached property
-    return result
-
-
 def check_word(
     rs: RootSystem,
     letters: Sequence[Root],
@@ -206,12 +197,13 @@ def check_word(
     context: Optional[IntegralData] = None,
 ) -> tuple[Root, ...]:
     """The checks of :func:`ascent_set_word` on its arguments; returns the
-    word as a tuple.  Every lookup runs them first, cached or not."""
+    word as a tuple.  :meth:`~vermahom.criteria.Engine.ascent_set_word`
+    runs them before its lookups, so a hit raises what a miss raises."""
     word = tuple(letters)
     if context is not None:
         if context.rs is not rs:
             raise DomainError("word and integral data belong to different root systems")
-        allowed = set(context.simple_roots)
+        allowed = context.simple_roots  # its own letters match by identity
         for alpha in word:
             if alpha not in allowed:
                 raise DomainError(
@@ -236,9 +228,13 @@ def ascent_set_word(
 
     With a ``context`` of ``rs``, every letter must belong to the context's
     simple system; without one, letters must at least be roots of the system
-    (:func:`check_word`).
+    (:func:`check_word`).  Each call computes the set afresh.
     """
-    return _ascent_set_cached(rs, check_word(rs, letters, mu, context), mu)
+    word = check_word(rs, letters, mu, context)
+    betas = inversion_sequence(rs, word)
+    result = AscentSet(rs, word, mu, _members(rs, betas, mu))
+    result.__dict__["inversion"] = betas  # fills the cached property
+    return result
 
 
 def ascent_set(
@@ -252,7 +248,7 @@ def ascent_set(
     The result does not depend on the reduced word chosen (a property the
     test suite sweeps exhaustively at small rank).  ``word_fn`` may replace
     :func:`ascent_set_word`, e.g. by
-    :meth:`~vermahom.cache.AscentSetCache.ascent_set_word`.
+    :meth:`~vermahom.criteria.Engine.ascent_set_word`.
     """
     word = canonical_integral_word(w, context)
     fn = word_fn or ascent_set_word

@@ -10,9 +10,9 @@ warning and simply rewritten on save; entries that do not parse count as
 misses, and so do entries without their base weight (the empty subsequence
 is admissible, so the base is always a member).  Members that the word
 cannot reach make the first certificate read raise :class:`RuntimeError`.
-Cache use never changes results: :meth:`AscentSetCache.ascent_set_word`
-recomputes on a miss with the ordinary code path, and a cache opened with
-``verify`` recomputes every hit as well and compares.
+It is a plain store whose ``get`` counts hits and misses, asked beneath
+the memo of :meth:`~vermahom.criteria.Engine.ascent_set_word`.  Cache use
+never changes results: with ``verify``, every hit is recomputed and compared.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import os
 import tempfile
 from typing import Optional, Sequence
 
-from .aset import AscentSet, ascent_set_word, check_word
-from .integral import IntegralData
+from .aset import AscentSet, ascent_set_word
 from .rootsystem import Root, RootSystem, Weight, parse_weight
 
 CACHE_VERSION = "vermahom-aset-cache-2"
@@ -79,45 +78,29 @@ class AscentSetCache:
     def get(
         self, rs: RootSystem, letters: Sequence[Root], mu: Weight
     ) -> Optional[AscentSet]:
+        """The stored set of checked arguments, or None; counts hits and
+        misses, and with ``verify`` recomputes and compares a hit."""
         raw = self.entries.get(self.key(rs, letters, mu))
-        if raw is None:
-            return None
         try:
             elements = frozenset(
                 parse_weight(text, rs.rank) for text in raw["elements"]
             )
         except (AttributeError, KeyError, TypeError, ValueError):
-            return None  # AttributeError: a member that is not a string
-        if mu not in elements:
-            return None
-        return AscentSet(rs, tuple(letters), mu, elements)
-
-    def ascent_set_word(
-        self, rs: RootSystem, letters: Sequence[Root], mu: Weight,
-        context: Optional[IntegralData] = None,
-    ) -> AscentSet:
-        """:func:`~vermahom.aset.ascent_set_word` through this cache: a hit
-        is returned (recomputed and compared first, with ``verify``), a
-        miss is computed and stored.  Both first check the arguments as the
-        uncached call does."""
-        check_word(rs, letters, mu, context)
-        got = self.get(rs, letters, mu)
-        if got is None:
+            # TypeError: no entry; AttributeError: a non-string member
+            elements = None
+        if elements is None or mu not in elements:
             self.misses += 1
-            got = ascent_set_word(rs, letters, mu, context)
-            self.put(rs, letters, mu, got)
-            return got
+            return None
         self.hits += 1
         if self.verify:
             # equal members give equal certificates: both follow from the
             # word and the base weight
-            fresh = ascent_set_word(rs, letters, mu, context)
-            if fresh.elements != got.elements:
+            if ascent_set_word(rs, letters, mu).elements != elements:
                 raise RuntimeError(
                     "cache verification failed for "
                     f"{rs.spec} word={[str(a) for a in letters]} mu={mu}"
                 )
-        return got
+        return AscentSet(rs, tuple(letters), mu, elements)
 
     def put(
         self, rs: RootSystem, letters: Sequence[Root], mu: Weight, result: AscentSet

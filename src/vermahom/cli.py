@@ -10,8 +10,8 @@ prints them as JSON, TSV or human lines.  Output is deterministic: identical
 queries produce byte-identical stdout, with or without the persistent cache
 (cache statistics go to stderr).  A run with a cache decides through an
 :class:`~vermahom.criteria.Engine` of its own, which asks the cache once per
-distinct side.  The argument parser is built once per process, on first
-use rather than at import, and every :func:`parse_query` reuses it.
+distinct ascent set.  The argument parser is built once per process, on
+first use rather than at import, and every :func:`parse_query` reuses it.
 
 Exit codes: 0 decided/ok, 1 selfcheck counterexample or cache verification
 failure, 2 parse or precondition violation, 3 enumeration bound exceeded.
@@ -205,7 +205,7 @@ def _close_cache(cache: Optional[AscentSetCache]) -> None:
 def _run_aset(ns: argparse.Namespace) -> int:
     rs = ns.root_system
     cache = _open_cache(ns)
-    fetch = ascent_set_word if cache is None else cache.ascent_set_word
+    fetch = ascent_set_word if cache is None else Engine(cache).ascent_set_word
     result = fetch(rs, ns.letters, ns.mu, ns.context)
     _close_cache(cache)
     betas = result.inversion

@@ -16,11 +16,12 @@ certificates and the parameter echo from them the first time they are
 read, so sweeps that only ask for the verdict pay for neither.
 
 Every translated set comes from an :class:`Engine`: one bounded memo per
-(side, integral data, element, weight), with an optional persistent
-:class:`~vermahom.cache.AscentSetCache` beneath it that is asked once per
-distinct side.  A principal-series side checks its own twist and weight on
-a memo miss, so large sweeps (orbit tables, invariance checks) check each
-valid side once, while an invalid query, never stored, raises on every call.
+(side, integral data, element, weight) above one per (root system, word,
+weight) of ascent sets, with an optional persistent cache beneath them that
+is asked once per distinct ascent set.  A principal-series side checks its
+own twist and weight on a memo miss, so large sweeps (orbit tables,
+invariance checks) check each valid side once, while an invalid query, never
+stored, raises on every call.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional
 
-from .aset import AscentSet, ascent_set
+from .aset import AscentSet, ascent_set, ascent_set_word, check_word
 from .cache import AscentSetCache
 from .errors import DomainError, PreconditionError
 from .integral import (
@@ -223,19 +224,34 @@ def _ps_right(data: IntegralData, w2: WeylElem, mu2: Weight, fetch) -> _Side:
 
 
 class Engine:
-    """The one way the criteria reach a translated set: ``side(builder,
-    data, x, mu)`` memoizes the builders above (``_lower``, ``_upper`` and
-    the two principal-series sides made from them) in one bounded memo, and
-    on a miss their ascent sets come from ``cache`` when there is one.  The
-    library uses the cacheless, process-wide :data:`DEFAULT`; a CLI run with
-    a cache builds its own.
+    """The one way to reach a translated set or a memoized ascent set.
+
+    ``side(builder, data, x, mu)`` memoizes the builders above; they fetch
+    through ``ascent_set_word(rs, letters, mu, context=None)``, which runs
+    :func:`~vermahom.aset.check_word`, then reads the ascent-set memo, then
+    ``cache`` if any, and computes and stores on a cache miss.  The library
+    uses the cacheless, process-wide :data:`DEFAULT`; a CLI run with a cache
+    builds its own.
     """
 
     def __init__(self, cache: Optional[AscentSetCache] = None):
         self.cache = cache
-        fetch = None if cache is None else cache.ascent_set_word
-        # the memo must not reach the engine: the cycle would keep a dropped
+
+        @lru_cache(maxsize=16384)
+        def lookup(rs, word, mu):
+            got = None if cache is None else cache.get(rs, word, mu)
+            if got is None:
+                got = ascent_set_word(rs, word, mu)
+                if cache is not None:
+                    cache.put(rs, word, mu, got)
+            return got
+
+        def fetch(rs, letters, mu, context=None):
+            return lookup(rs, check_word(rs, letters, mu, context), mu)
+
+        # neither memo may reach the engine: the cycle would keep a dropped
         # engine and its sets alive until the cyclic collector runs
+        self.ascent_set_word = fetch
         self.side = lru_cache(maxsize=262144)(
             lambda builder, data, x, mu: builder(data, x, mu, fetch)
         )

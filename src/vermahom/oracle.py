@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .aset import ascent_set_word, inversion_sequence
 from .criteria import hom_principal_series, hom_twisted_verma
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 from .integral import integral_data, integral_group_elements, stabilizer_elements
 from .rootsystem import Root, RootSystem, RootSystemSpec, Weight, build_root_system
 from .weyl import (
@@ -462,6 +462,9 @@ def run_selfcheck(
     if types is None:
         types = [t for t in ("A1", "A2", "B2", "G2", "A3", "B3")
                  if build_root_system(t).rank <= rank_bound]
+        if not types:  # a sweep over nothing would pass without a check
+            raise ValidationError(f"rank bound {rank_bound} is below the rank "
+                                  "of every default type")
     reports = []
     for name in types:
         rs = build_root_system(name)

@@ -9,7 +9,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from vermahom import criteria
-from vermahom.aset import ascent_set
+from vermahom.aset import ascent_set, ascent_set_word
 from vermahom.cache import AscentSetCache
 from vermahom.criteria import (
     Engine,
@@ -140,22 +140,50 @@ def test_engine_with_a_cache_matches_default_and_is_freed_on_drop(tmp_path):
     lam = rs.weight((0, 1))
     cache = AscentSetCache(str(tmp_path))
     engine = Engine(cache)
+    built = None  # the first set the engine computes, on a cache miss
     for w1, w2 in itertools.product(group, repeat=2):
         for decide in (hom_twisted_verma,
                        lambda *a, **k: hom_principal_series(lam, *a, **k)):
             mine = decide(w1, lam, w2, w1.act(lam), engine=engine)
+            if built is None:
+                built = weakref.ref(mine._sides[0].aset)
             default = decide(w1, lam, w2, w1.act(lam))
             assert mine.to_dict() == default.to_dict()
             assert mine.certificates_dict() == default.certificates_dict()
     # a memo that reached the engine would make a cycle, keeping a dropped
-    # per-run engine and its sets until the cyclic collector runs
+    # per-run engine and its sets until the cyclic collector runs; a memo
+    # outside the engine would keep the sets it built
     ref = weakref.ref(engine)
     gc.disable()
     try:
-        del engine
-        assert ref() is None
+        del engine, mine
+        assert ref() is None and built() is None
     finally:
         gc.enable()
+
+
+def test_engine_memo_shares_ascent_sets_across_integral_data(monkeypatch):
+    # rho and 2 rho have one integral system, so queries at the two read
+    # the same ascent sets from different integral data: the second query
+    # builds new sides but computes no ascent set
+    rs = build_root_system("A2")
+    s1, s2 = (from_word(rs, (i,)) for i in (1, 2))
+    mu1, mu2 = rs.weight((-1, -1)), rs.rho
+    computed = []
+
+    def counting(*args, **kwargs):
+        computed.append(args)
+        return ascent_set_word(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "ascent_set_word", counting)
+    engine = Engine()
+    first = hom_principal_series(rs.rho, s1, mu1, s2, mu2, engine=engine)
+    assert len(computed) == 2
+    second = hom_principal_series(rs.rho + rs.rho, s1, mu1, s2, mu2,
+                                  engine=engine)
+    assert len(computed) == 2
+    assert (second.left_set, second.right_set) == (first.left_set,
+                                                   first.right_set)
 
 
 def test_mixed_root_systems_rejected():

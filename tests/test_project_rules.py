@@ -1,4 +1,5 @@
-"""The library's standing rule: no runtime dependencies and no floating point.
+"""The library's standing rules: no runtime dependencies, no floating point,
+and no module-level memo beyond a fixed list.
 
 Checked on the source text with ``ast``, so a float that no test happens to
 reach still fails here.
@@ -41,3 +42,38 @@ def test_pyproject_declares_no_runtime_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+# Module-level memos allowed in the library; every other memo that grows
+# with the queries belongs to a ``criteria.Engine``.
+PER_SYSTEM_OR_PROCESS_MEMOS = {
+    "rootsystem._build_cached", "weyl.reflection", "weyl.longest_element",
+    "weyl.enumerate_group", "cli._parser",
+}
+# These three grow with a sweep; they stay module memos while the bench
+# tracer reads their hit ratios from ``cache_info()`` (ROADMAP item 0b).
+TRACER_READ_MEMOS = {
+    "weyl.inverse", "weyl.canonical_reduced_word", "integral.integral_data",
+}
+
+
+def _is_lru_cache(node) -> bool:
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (isinstance(node, ast.Name) and node.id == "lru_cache") or (
+        isinstance(node, ast.Attribute) and node.attr == "lru_cache")
+
+
+def test_module_level_memos_are_exactly_the_listed_ones():
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                # a memo inside a body is built per call or per instance
+                if any(map(_is_lru_cache, node.decorator_list)):
+                    found.add(f"{path.stem}.{node.name}")
+            elif any(map(_is_lru_cache, ast.walk(node))):
+                # e.g. ``f = lru_cache(...)(g)`` at module level
+                found.add(f"{path.stem}:{node.lineno}")
+    assert found == PER_SYSTEM_OR_PROCESS_MEMOS | TRACER_READ_MEMOS
