@@ -13,11 +13,13 @@ cannot reach make the first certificate read raise :class:`RuntimeError`.
 It is a plain store whose ``get`` counts hits and misses, asked beneath
 the memo of :meth:`~vermahom.criteria.Engine.ascent_set_word`.  Cache use
 never changes results: with ``verify``, every hit is recomputed and compared.
+:mod:`hashlib` is imported on the first :meth:`AscentSetCache.key`, so a
+process that imports this module (the CLI does) but uses no cache never
+loads it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -65,6 +67,10 @@ class AscentSetCache:
 
     @staticmethod
     def key(rs: RootSystem, letters: Sequence[Root], mu: Weight) -> str:
+        # imported here, not at module level: hashlib loads OpenSSL, which
+        # only a call that uses a cache needs
+        import hashlib
+
         payload = json.dumps(
             {
                 "rs": str(rs.spec),

@@ -10,8 +10,11 @@ prints them as JSON, TSV or human lines.  Output is deterministic: identical
 queries produce byte-identical stdout, with or without the persistent cache
 (cache statistics go to stderr).  A run with a cache decides through an
 :class:`~vermahom.criteria.Engine` of its own, which asks the cache once per
-distinct ascent set.  The argument parser is built once per process, on
-first use rather than at import, and every :func:`parse_query` reuses it.
+distinct ascent set.  Each subcommand has a parser of its own that holds
+only that subcommand, built on its first use and reused after; a usage
+error or ``--help`` is said by the full parser, built only for those and
+for an argument list that names no subcommand.  Only ``selfcheck`` imports
+the oracle sweeps.
 
 Exit codes: 0 decided/ok, 1 selfcheck counterexample or cache verification
 failure, 2 parse or precondition violation, 3 enumeration bound exceeded.
@@ -42,7 +45,6 @@ from .integral import (
     integral_length,
     reduce_parameters,
 )
-from .oracle import run_selfcheck
 from .rootsystem import RootSystemSpec, build_root_system, parse_weight
 from .weyl import (
     canonical_reduced_word,
@@ -59,21 +61,15 @@ from .weyl import (
 FORMATS = ("human", "json", "tsv")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vermahom",
-        description="Exact Hom-existence criteria over root-system data.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_common(p: argparse.ArgumentParser, cache: bool = True) -> None:
+    p.add_argument("--format", default="human", choices=FORMATS)
+    if cache:
+        p.add_argument("--no-cache", action="store_true")
+        p.add_argument("--cache-dir", default=None)
+        p.add_argument("--verify-cache", action="store_true")
 
-    def add_common(p, cache=True):
-        p.add_argument("--format", default="human", choices=FORMATS)
-        if cache:
-            p.add_argument("--no-cache", action="store_true")
-            p.add_argument("--cache-dir", default=None)
-            p.add_argument("--verify-cache", action="store_true")
 
-    p = sub.add_parser("aset", help="ascent set of a word at a weight")
+def _add_aset(p: argparse.ArgumentParser) -> None:
     p.add_argument("root_system")
     p.add_argument("word")
     p.add_argument("mu")
@@ -81,36 +77,31 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="take letters from the integral simple system of "
                         "this weight (1-based positions)")
     p.add_argument("--certificates", action="store_true")
-    add_common(p)
+    _add_common(p)
 
-    p = sub.add_parser("hom-verma", help="Hom between twisted Verma modules")
+
+def _add_hom(p: argparse.ArgumentParser, principal_series: bool) -> None:
     p.add_argument("root_system")
     p.add_argument("w1")
     p.add_argument("mu1")
     p.add_argument("w2")
     p.add_argument("mu2")
+    if principal_series:
+        p.add_argument("--lambda", dest="lam", required=True)
+        p.add_argument("--normalize", action="store_true",
+                       help="normalize the parameters to a dominant, "
+                            "in-subgroup form before deciding")
     p.add_argument("--certificates", action="store_true")
-    add_common(p)
+    _add_common(p)
 
-    p = sub.add_parser("hom-ps", help="Hom between principal series")
-    p.add_argument("root_system")
-    p.add_argument("w1")
-    p.add_argument("mu1")
-    p.add_argument("w2")
-    p.add_argument("mu2")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--normalize", action="store_true",
-                   help="normalize the parameters to a dominant, in-subgroup "
-                        "form before deciding")
-    p.add_argument("--certificates", action="store_true")
-    add_common(p)
 
-    p = sub.add_parser("integral", help="integral subsystem summary")
+def _add_integral(p: argparse.ArgumentParser) -> None:
     p.add_argument("root_system")
     p.add_argument("lam", metavar="lambda")
-    add_common(p, cache=False)
+    _add_common(p, cache=False)
 
-    p = sub.add_parser("table", help="verdicts over a full orbit/group sweep")
+
+def _add_table(p: argparse.ArgumentParser) -> None:
     p.add_argument("root_system")
     p.add_argument("--mu-orbit", required=True,
                    help="seed weight; both weight slots range over its orbit")
@@ -120,31 +111,71 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criterion", default="twisted-verma",
                    choices=("twisted-verma", "principal-series"))
     p.add_argument("--lambda", dest="lam", default=None)
-    add_common(p)
+    _add_common(p)
 
-    p = sub.add_parser("selfcheck", help="run the oracle sweeps")
+
+def _add_selfcheck(p: argparse.ArgumentParser) -> None:
     p.add_argument("--types", default=None,
                    help="comma-separated Cartan types to sweep")
-    p.add_argument("--rank-bound", type=int, default=3)
+    # None: not given, so the default types take 3 and --types is unbounded
+    p.add_argument("--rank-bound", type=int, default=None)
     p.add_argument("--grid-radius", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
+
+
+class _RaisingParser(argparse.ArgumentParser):
+    """Raises :class:`argparse.ArgumentError` where a parser would print a
+    message or help and exit, so that the full parser can say it."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+    def print_help(self, file=None):
+        raise argparse.ArgumentError(None, "help")
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """Every subcommand's parser, or only ``command``'s, which raises where
+    the full parser would print."""
+    cls = argparse.ArgumentParser if command is None else _RaisingParser
+    parser = cls(
+        prog="vermahom",
+        description="Exact Hom-existence criteria over root-system data.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in _SUBCOMMANDS.items():
+        if command is None or name == command:
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 @lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser: built on first use, then reused."""
-    return _build_parser()
+def _parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The full parser for ``command=None``, else ``command``'s alone; each is
+    built on first use, then reused."""
+    return _build_parser(command)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with the first argument's own parser when it names a
+    subcommand; on any error or help, parse again with the full parser,
+    which prints its usage and message."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        try:
+            return _parser(argv[0]).parse_args(argv)
+        except argparse.ArgumentError:
+            pass
+    return _parser().parse_args(argv)
 
 
 def parse_query(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse ``argv`` with the process's one parser, then replace each text
+    """Parse ``argv`` (see :func:`_parse_args`), then replace each text
     argument by the library object it names, parsed and validated once: the
     root system, twists, weights, ``selfcheck`` types, and for ``aset`` the
     word's indices, its ``letters`` and their ``context``.  Lambda is parsed
     first, then words, then weights, so the first malformed argument in that
     order is the one reported."""
-    ns = _parser().parse_args(list(argv))
+    ns = _parse_args(list(argv))
     if ns.command == "selfcheck":
         ns.types = (None if ns.types is None else
                     [RootSystemSpec.parse(t) for t in ns.types.split(",")])
@@ -392,6 +423,9 @@ def _run_table(ns: argparse.Namespace) -> int:
 
 
 def _run_selfcheck(ns: argparse.Namespace) -> int:
+    # only selfcheck loads the oracle sweeps
+    from .oracle import run_selfcheck
+
     reports = run_selfcheck(types=ns.types, rank_bound=ns.rank_bound,
                             grid_radius=ns.grid_radius, seed=ns.seed)
     for report in reports:
@@ -399,20 +433,25 @@ def _run_selfcheck(ns: argparse.Namespace) -> int:
     return 0 if all(report.passed for report in reports) else 1
 
 
-_COMMANDS = {
-    "aset": _run_aset,
-    "hom-verma": _run_hom,
-    "hom-ps": _run_hom,
-    "integral": _run_integral,
-    "table": _run_table,
-    "selfcheck": _run_selfcheck,
+# each subcommand's help text, the function that adds its arguments and the
+# function that runs it
+_SUBCOMMANDS = {
+    "aset": ("ascent set of a word at a weight", _add_aset, _run_aset),
+    "hom-verma": ("Hom between twisted Verma modules",
+                  partial(_add_hom, principal_series=False), _run_hom),
+    "hom-ps": ("Hom between principal series",
+               partial(_add_hom, principal_series=True), _run_hom),
+    "integral": ("integral subsystem summary", _add_integral, _run_integral),
+    "table": ("verdicts over a full orbit/group sweep", _add_table, _run_table),
+    "selfcheck": ("run the oracle sweeps", _add_selfcheck, _run_selfcheck),
 }
 
 
 def run(query: argparse.Namespace) -> int:
     """Execute a query from :func:`parse_query`; deterministic output per
     query."""
-    return _COMMANDS[query.command](query)
+    _, _, runner = _SUBCOMMANDS[query.command]
+    return runner(query)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -454,20 +454,30 @@ def check_oracle_agreement(
 
 def run_selfcheck(
     types: Optional[Sequence[Union[str, RootSystemSpec]]] = None,
-    rank_bound: int = 3,
+    rank_bound: Optional[int] = None,
     grid_radius: int = 2,
     seed: int = 0,
 ) -> list[CheckReport]:
-    """Run every sweep over the default small-rank systems; deterministic."""
+    """Run every sweep over ``types``, by default the small-rank systems of
+    rank at most ``rank_bound`` (3 when not given); deterministic.  A given
+    ``rank_bound`` also bounds the given ``types``: one of higher rank raises
+    :class:`ValidationError` before any sweep."""
     if types is None:
-        types = [t for t in ("A1", "A2", "B2", "G2", "A3", "B3")
-                 if build_root_system(t).rank <= rank_bound]
-        if not types:  # a sweep over nothing would pass without a check
-            raise ValidationError(f"rank bound {rank_bound} is below the rank "
+        bound = 3 if rank_bound is None else rank_bound
+        systems = [rs for rs in map(build_root_system,
+                                    ("A1", "A2", "B2", "G2", "A3", "B3"))
+                   if rs.rank <= bound]
+        if not systems:  # a sweep over nothing would pass without a check
+            raise ValidationError(f"rank bound {bound} is below the rank "
                                   "of every default type")
+    else:
+        systems = [build_root_system(name) for name in types]
+        for rs in systems:
+            if rank_bound is not None and rs.rank > rank_bound:
+                raise ValidationError(f"type {rs.spec} has rank {rs.rank}, "
+                                      f"above the rank bound {rank_bound}")
     reports = []
-    for name in types:
-        rs = build_root_system(name)
+    for rs in systems:
         reports.append(check_word_independence(rs))
         reports.append(check_concatenation(rs))
         reports.append(check_invariances(rs))

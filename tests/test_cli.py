@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -455,6 +456,16 @@ def test_selfcheck_rejects_a_rank_bound_that_selects_no_type(capsys, bound):
                    "default type\n")
 
 
+def test_selfcheck_rank_bound_also_bounds_the_given_types(capsys):
+    # a given bound is not ignored next to --types: nothing is swept
+    argv = ["selfcheck", "--types", "A2", "--rank-bound", "1", "--grid-radius",
+            "1"]
+    assert run_cli(capsys, argv) == (
+        2, "", "error: type A2 has rank 2, above the rank bound 1\n")
+    # without --rank-bound the given types are not bounded
+    assert parse_query(["selfcheck", "--types", "B4"]).rank_bound is None
+
+
 # -- persistent cache ---------------------------------------------------------
 
 
@@ -767,9 +778,16 @@ def test_cache_entry_with_a_non_string_member_is_a_miss(
     assert json.loads(path.read_text()) == whole
 
 
+def _full_parser_only(monkeypatch):
+    """Make every parse go through a fresh full parser, the reference that
+    each subcommand's own parser must match."""
+    monkeypatch.setattr(cli, "_parser",
+                        lambda command=None: cli._build_parser())
+
+
 def test_shared_parser_matches_a_fresh_one(capsys, monkeypatch):
-    # one parser serves every call in the process; no call may leave state
-    # behind that a later one sees, errors and --help included
+    # one parser per subcommand serves every call in the process; no call may
+    # leave state behind that a later one sees, errors and --help included
     calls = [
         ["hom-verma", "A2", "e", "(1,1)", "--format", "xml"],
         ["hom-ps", "--help"],
@@ -777,21 +795,115 @@ def test_shared_parser_matches_a_fresh_one(capsys, monkeypatch):
          "--normalize", "--certificates", "--format", "json", "--no-cache"],
         # without --normalize the same lambda is not dominant: exit 2
         ["hom-ps", "A2", "s1", "(1,1)", "s1", "(1,1)", "--lambda", "(-1,0)"],
+        # usage errors found by a subcommand's own parser, said by the full one
+        ["hom-ps", "A2", "s1", "(1,1)", "s1", "(1,1)"],
+        ["hom-ps", "A2", "s1", "(1,1)", "s1", "(1,1)", "--lambda", "(1,0)",
+         "--bogus"],
         ["table", "A1", "--mu-orbit", "(1)", "--criterion", "principal-series",
          "--lambda", "(1)", "--format", "json", "--no-cache"],
         ["table", "A1", "--mu-orbit", "(1)"],
+        ["table", "A1", "--mu-orbit", "(1)", "--criterion", "both"],
         ["selfcheck", "--types", "A1", "--rank-bound", "2", "--grid-radius",
          "1", "--seed", "3"],
         ["selfcheck", "--types", "A1", "--grid-radius", "1"],
+        ["selfcheck", "--rank-bound", "two"],
         ["--help"],
     ]
     assert cli._parser() is cli._parser()
+    assert cli._parser("table") is cli._parser("table")
     shared = [run_cli(capsys, argv) for argv in calls]
-    assert [code for code, _, _ in shared] == [2, 0, 0, 2, 0, 0, 0, 0, 0]
-    monkeypatch.setattr(cli, "_parser", cli._build_parser)
+    assert [code for code, _, _ in shared] == [2, 0, 0, 2, 2, 2, 0, 0, 2, 0, 0,
+                                               2, 0]
+    _full_parser_only(monkeypatch)
     assert [run_cli(capsys, argv) for argv in calls] == shared
     monkeypatch.undo()
     assert cli._parser().format_help() == cli._build_parser().format_help()
+
+
+# Argument lists whose parse or usage message could differ between a
+# subcommand's own parser and the full one: help, usage errors of every
+# kind, option forms, and a few that run.
+PARSER_CORPUS = [
+    [],
+    ["--help"],
+    ["-h"],
+    *([name, "--help"] for name in (
+        "aset", "hom-verma", "hom-ps", "integral", "table", "selfcheck")),
+    ["hom-verma", "A2", "-h", "e"],
+    ["hom-verma", "--", "--help"],
+    ["frobnicate", "A2"],
+    ["--format", "json", "hom-verma", "A1", "e", "(1)", "e", "(1)"],
+    ["-x"],
+    ["--"],
+    ["hom-verma"],
+    ["hom-verma", "A2", "e", "(1,1)", "e"],
+    ["hom-verma", "A1", "e", "(1)", "e", "(1)", "extra"],
+    ["hom-verma", "A1", "e", "(1)", "e", "(1)", "--bogus"],
+    ["hom-verma", "A1", "e", "(1)", "e", "(1)", "--c"],
+    ["hom-verma", "A1", "e", "(1)", "e", "(1)", "--format"],
+    ["hom-verma", "A1", "e", "(1)", "e", "(1)", "--format", "xml"],
+    ["hom-verma", "A1", "e", "(1)", "e", "(1)", "--form", "json",
+     "--no-c"],
+    ["hom-verma", "A1", "e", "(1)", "e", "(1)", "--format=tsv", "--no-cache"],
+    ["hom-verma", "--format", "json", "--no-cache", "A1", "e", "(1)", "e",
+     "(-1)"],
+    ["hom-verma", "A1", "e", "(1)", "--", "e", "(-1)", "--no-cache"],
+    ["hom-verma", "A1", "e", "(1)", "e", "(1)", "--", "--no-cache"],
+    ["hom-ps", "A1", "e", "(1)", "e", "(-1)"],
+    ["hom-ps", "A1", "e", "(1)", "e", "(-1)", "--lambda"],
+    ["hom-ps", "A1", "e", "(1)", "e", "(-1)", "--lambda", "(1)", "--norm",
+     "--format", "json", "--no-cache"],
+    ["aset", "A2", "12", "(-1,-1)", "--certificates", "--no-cache"],
+    ["aset", "A2", "12", "(-1,-1)", "--lambda=(1/2,1/2)", "--no-cache"],
+    ["aset", "A2", "1x", "(-1,-1)"],
+    ["integral", "A2", "(1/2,1/2)", "--no-cache"],
+    ["integral", "A2", "(1/2,1/2)", "--format", "json"],
+    ["integral", "A2"],
+    ["table", "A1", "--w-all"],
+    ["table", "A1", "--mu-orbit", "(1)", "--criterion", "both"],
+    ["table", "A1", "--mu-orbit", "(1)", "--crit", "principal-series"],
+    ["selfcheck", "extra"],
+    ["selfcheck", "--grid-radius", "1.5"],
+    ["selfcheck", "--rank-bound"],
+    ["selfcheck", "--types", "A1", "--rank-bound", "0"],
+]
+
+
+def test_parser_corpus_matches_the_full_parser(capsys, monkeypatch):
+    # every argument list gives the same exit code, stdout and stderr as
+    # when the full parser parses it, whichever parsers ran before it
+    assert len(PARSER_CORPUS) >= 38
+    runs = []
+    for order in (PARSER_CORPUS, PARSER_CORPUS[::-1]):
+        cli._parser.cache_clear()
+        runs.append([run_cli(capsys, argv) for argv in order])
+    _full_parser_only(monkeypatch)
+    full = [run_cli(capsys, argv) for argv in PARSER_CORPUS]
+    assert runs[0] == full
+    assert runs[1] == full[::-1]
+    assert {code for code, _, _ in full} == {0, 2}
+
+
+def test_first_call_builds_only_its_subcommands_parser(capsys, monkeypatch):
+    # the full parser holds six subparsers; one hom-verma call needs one
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    argv = ["hom-verma", "A1", "e", "(1)", "e", "(-1)", "--format", "json",
+            "--no-cache"]
+    assert run_cli(capsys, argv)[0] == 0
+    assert len(built) == 2
+    run_cli(capsys, argv)
+    assert len(built) == 2
+    # a usage error is said by the full parser, built once for it
+    assert run_cli(capsys, argv[:3])[0] == 2
+    assert len(built) == 2 + 7
 
 
 def test_cache_file_format_is_pinned(capsys, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from vermahom import oracle
 from vermahom.aset import ascent_set_word
-from vermahom.errors import DomainError
+from vermahom.errors import DomainError, ValidationError
 from vermahom.oracle import (
     LinkageChain,
     bgg_verma_hom,
@@ -182,3 +182,40 @@ def test_run_selfcheck_rank_one():
     assert names == {
         "word-independence", "concatenation", "invariances", "oracle-agreement",
     }
+
+
+def _record_sweeps(monkeypatch):
+    """Replace the four sweeps by stubs that pass and record their system."""
+    swept = []
+
+    def stub(name):
+        def check(rs, **_):
+            swept.append(str(rs.spec))
+            return oracle.CheckReport(name, str(rs.spec), 0, True)
+        return check
+
+    for name in ("check_word_independence", "check_concatenation",
+                 "check_invariances", "check_oracle_agreement"):
+        monkeypatch.setattr(oracle, name, stub(name))
+    return swept
+
+
+def test_run_selfcheck_rank_bound_also_bounds_given_types(monkeypatch):
+    swept = _record_sweeps(monkeypatch)
+    # A1 is within the bound, but A2 is not: nothing is swept at all
+    with pytest.raises(ValidationError,
+                       match=r"^type A2 has rank 2, above the rank bound 1$"):
+        run_selfcheck(types=["A1", "A2"], rank_bound=1)
+    assert swept == []
+    assert all(r.passed for r in run_selfcheck(types=["A1", "A2"], rank_bound=2))
+    assert swept == ["A1"] * 4 + ["A2"] * 4
+
+
+def test_run_selfcheck_without_a_rank_bound(monkeypatch):
+    swept = _record_sweeps(monkeypatch)
+    # given types are not bounded; the default types take rank 3 and below
+    run_selfcheck(types=["B4"])
+    assert swept == ["B4"] * 4
+    swept.clear()
+    run_selfcheck()
+    assert swept[::4] == ["A1", "A2", "B2", "G2", "A3", "B3"]

@@ -1,11 +1,15 @@
 """The library's standing rules: no runtime dependencies, no floating point,
-and no module-level memo beyond a fixed list.
+no module-level memo beyond a fixed list, and a CLI import that loads
+neither the oracle sweeps nor ``hashlib``.
 
 Checked on the source text with ``ast``, so a float that no test happens to
 reach still fails here.
 """
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -77,3 +81,20 @@ def test_module_level_memos_are_exactly_the_listed_ones():
                 # e.g. ``f = lru_cache(...)(g)`` at module level
                 found.add(f"{path.stem}:{node.lineno}")
     assert found == PER_SYSTEM_OR_PROCESS_MEMOS | TRACER_READ_MEMOS
+
+
+def test_importing_the_cli_loads_neither_the_oracle_nor_hashlib():
+    # every CLI call is a fresh process: only selfcheck needs the oracle
+    # sweeps, and only a call with a cache needs hashlib (and OpenSSL)
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import vermahom.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    added = set(json.loads(out))
+    assert "vermahom.cli" in added
+    assert not added & {"vermahom.oracle", "hashlib"}
